@@ -3,7 +3,8 @@
 Every command takes --json for machine-readable output: exactly one JSON
 document on stdout (schema_version 1), diagnostics on stderr. Exit codes:
 0 success, 2 usage, 3 domain error (ramified prime, bad reduction, unknown
-label), 4 resource limit or prime-search timeout, 5 verification mismatch.
+label), 4 resource limit or prime-search timeout, 5 verification mismatch,
+6 internal inconsistency (two routes that must agree did not: a bug).
 """
 
 import argparse
@@ -15,6 +16,7 @@ from . import generator, invariants, splitting
 from .cm_types import count_E, count_E_primitive, enumerate_classes
 from .errors import (
     DomainError,
+    InternalInconsistencyError,
     PrimeSearchTimeout,
     ResourceLimitError,
 )
@@ -27,6 +29,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 EXIT_MISMATCH = 5
+EXIT_INTERNAL = 6
 
 
 class UsageError(Exception):
@@ -425,6 +428,8 @@ def main(argv=None):
         return _emit_error(args, args.command, e, EXIT_RESOURCE)
     except DomainError as e:
         return _emit_error(args, args.command, e, EXIT_DOMAIN)
+    except InternalInconsistencyError as e:
+        return _emit_error(args, args.command, e, EXIT_INTERNAL)
     return _emit(args, args.command, result, lines, code)
 
 

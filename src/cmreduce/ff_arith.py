@@ -5,16 +5,16 @@ any finite field, and arbitrary-precision integer number theory (primality,
 Kronecker symbol). Polynomials are dense little-endian coefficient lists:
 index = exponent, no trailing zeros above the degree.
 
-Primes fed to the expansion-based paths (poly_pow and everything built on it)
-are expected below 2**20; the pure residue arithmetic here (is_prime,
+poly_pow_coeffs loops once per coefficient up to the highest one asked for,
+so its callers bound that index; the pure residue arithmetic here (is_prime,
 kronecker, powmod-based factoring) takes arbitrary-precision input.
 """
 
 import random
+from itertools import accumulate
+from math import gcd
 
-from .errors import DomainError, NotSquarefreeError, ResourceLimitError
-
-DEGREE_CAP = 1 << 26  # max coefficients a full expansion may occupy
+from .errors import DomainError, NotSquarefreeError
 
 # Strong-pseudoprime bases covering all n < 3.317e24, beyond 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -131,28 +131,48 @@ def poly_mul(f, g, p):
     ]
 
 
-def poly_pow(f, e, p, cap=DEGREE_CAP):
-    """Full expansion of f**e over F_p. Degree capped at cap coefficients."""
-    if e < 0:
-        raise DomainError("poly_pow: negative exponent")
-    f = poly_trim([c % p for c in f])
-    if f == [0]:
-        raise DomainError("poly_pow: zero polynomial")
-    if e == 0:
-        return [1]
-    if (len(f) - 1) * e + 1 > cap:
-        raise ResourceLimitError(
-            f"poly_pow: deg {len(f) - 1} ** {e} exceeds cap of {cap} coefficients"
-        )
-    acc = None
-    base = f
-    while True:
-        if e & 1:
-            acc = base if acc is None else poly_mul(acc, base, p)
-        e >>= 1
-        if not e:
-            return acc
-        base = poly_mul(base, base, p)
+def _inverses(xs, q):
+    """Inverses of the units xs mod q for the price of one modular inversion."""
+    prefix = list(accumulate(xs, lambda a, b: a * b % q, initial=1))
+    t = pow(prefix[-1], -1, q)
+    out = [0] * len(xs)
+    for j in range(len(xs) - 1, -1, -1):
+        out[j], t = prefix[j] * t % q, t * xs[j] % q
+    return out
+
+
+def poly_pow_coeffs(f, e, p, wanted):
+    """{m: x^m coefficient of f**e over F_p} for m in wanted, by a coefficient
+    recurrence that never expands f**e and keeps only its last deg f terms.
+
+    With f = x^v F and F(0) a unit, H = F**e obeys F H' = e F' H, so over the
+    integers k F_0 H_k = sum_{i>=1} ((e+1) i - k) F_i H_{k-i}. The loop runs
+    mod p^N: each factor of p in k is divided out of the sum exactly and costs
+    one p-adic digit, so N = 1 + v_p(top!) keeps H_top exact mod p.
+    """
+    f = [c % p for c in f]
+    v = next((i for i, c in enumerate(f) if c), None)
+    if v is None or e < 0:
+        raise DomainError("poly_pow_coeffs: zero polynomial or negative exponent")
+    need = {m - e * v: 0 for m in wanted if m >= e * v}
+    top = max(need, default=0)
+    digits = 1 + sum(top // p**j for j in range(1, max(top, 1).bit_length()))  # Legendre
+    q, f0 = p**digits, f[v]
+    terms = [(i, (e + 1) * i * c, c) for i, c in enumerate(f[v + 1 :], 1) if c]
+    h = [0] * len(f) + [pow(f0, e, q)]  # zero-padded so that h[-i] is H_{k-i}
+    need[0] = h[-1] % p
+    for start in range(1, top + 1, 512):
+        del h[: -len(f)]
+        ks = range(start, min(start + 512, top + 1))
+        units = [k if k % p else k // gcd(k, q) for k in ks]  # p-free parts
+        for k, u, w in zip(ks, units, _inverses([u * f0 for u in units], q)):
+            s = 0
+            for i, a, c in terms:
+                s += (a - k * c) * h[-i]
+            h.append(s % q // (k // u) * w % q)
+            if k in need:
+                need[k] = h[-1] % p
+    return {m: need.get(m - e * v, 0) for m in wanted}
 
 
 def poly_divmod(f, g, p):

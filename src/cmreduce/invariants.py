@@ -27,12 +27,13 @@ from .ff_arith import (
     matrix_rank,
     poly_deriv,
     poly_gcd,
-    poly_pow,
+    poly_pow_coeffs,
     poly_trim,
 )
 
 POINT_COUNT_BUDGET = 1 << 26  # largest field enumerated exhaustively
 SLOPE_BUDGET = 1 << 21  # default p^g ceiling for L-polynomial work
+CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
 _CHUNK = 1 << 22
 _EXT_CHUNK = 1 << 18
 
@@ -83,31 +84,21 @@ class ReducedCurve:
 
 @lru_cache(maxsize=256)
 def _cartier_rows(p, coeffs, g):
-    c = poly_pow(list(coeffs), (p - 1) // 2, p)
-
-    def entry(idx):
-        return c[idx] if 0 <= idx < len(c) else 0
-
-    mats = []
-    for ell in range(g):
-        tw = p**ell
-        mats.append(
-            tuple(
-                tuple(pow(entry(i * p - j), tw, p) for j in range(1, g + 1))
-                for i in range(1, g + 1)
-            )
-        )
-    return tuple(mats)
+    d, e = len(coeffs) - 1, (p - 1) // 2
+    if d * e + 1 > CARTIER_BUDGET:
+        raise ResourceLimitError(
+            f"cartier_manin: deg {d} ** {e} exceeds cap of {CARTIER_BUDGET} coefficients")
+    idx = range(1, g + 1)
+    c = poly_pow_coeffs(coeffs, e, p, [i * p - j for i in idx for j in idx])
+    return tuple(tuple(c[i * p - j] for j in idx) for i in idx)
 
 
 def cartier_manin(curve):
     """Matrices A_0 .. A_{g-1} with (A_l)_{i,j} = (c_{ip-j})^(p^l), where c_m
-    is the x^m coefficient of f^((p-1)/2)."""
+    is the x^m coefficient of f^((p-1)/2); these lie in F_p, so all equal A_0."""
     field = PrimeField(curve.p)
-    return tuple(
-        Matrix(field, [list(row) for row in m])
-        for m in _cartier_rows(curve.p, curve.coeffs, curve.genus)
-    )
+    a0 = _cartier_rows(curve.p, curve.coeffs, curve.genus)
+    return tuple(Matrix(field, a0) for _ in range(curve.genus))
 
 
 def _matmul(a, b, p):
@@ -119,19 +110,19 @@ def _matmul(a, b, p):
 
 
 def p_rank(curve):
-    """Rank of M = A_{g-1} ... A_1 A_0."""
-    mats = _cartier_rows(curve.p, curve.coeffs, curve.genus)
-    m = [list(row) for row in mats[0]]
-    for ell in range(1, curve.genus):
-        m = _matmul([list(row) for row in mats[ell]], m, curve.p)
+    """Rank of A_{g-1} ... A_1 A_0 = A_0^g. Ranks of powers of a g x g matrix
+    are constant from exponent g on, so squaring A_0 past g gives that rank."""
+    m = _cartier_rows(curve.p, curve.coeffs, curve.genus)
+    k = 1
+    while k < curve.genus:
+        m, k = _matmul(m, m, curve.p), 2 * k
     return matrix_rank(Matrix(PrimeField(curve.p), m))
 
 
 def a_number(curve):
     """g minus the rank of A_0."""
-    mats = _cartier_rows(curve.p, curve.coeffs, curve.genus)
-    a0 = Matrix(PrimeField(curve.p), [list(row) for row in mats[0]])
-    return curve.genus - matrix_rank(a0)
+    a0 = _cartier_rows(curve.p, curve.coeffs, curve.genus)
+    return curve.genus - matrix_rank(Matrix(PrimeField(curve.p), a0))
 
 
 def _count_prime(coeffs, p, odd_degree):
@@ -165,22 +156,6 @@ def _ext_reduction_rows(modulus, p, k):
             cur = [(cur[i] + top * rows[0][i]) % p for i in range(k)]
         rows.append(cur)
     return rows
-
-
-def _ext_square(d, red, p, k):
-    n = d.shape[1]
-    s = np.zeros((2 * k - 1, n), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            s[i + j] += d[i] * d[j]
-    s %= p
-    r = s[:k].copy()
-    for m in range(k, 2 * k - 1):
-        row = red[m - k]
-        for i in range(k):
-            if row[i]:
-                r[i] += s[m] * row[i]
-    return r % p
 
 
 def _ext_mul_step(acc, d, c, red, p, k):
@@ -220,7 +195,7 @@ def _count_ext(coeffs, p, k, odd_degree):
     for start in range(0, q, _EXT_CHUNK):
         ns = np.arange(start, min(start + _EXT_CHUNK, q), dtype=np.int64)
         d = digits(ns)
-        squares[weights @ _ext_square(d, red, p, k)] = True
+        squares[weights @ _ext_mul_step(d, d, 0, red, p, k)] = True
     total = 0
     for start in range(0, q, _EXT_CHUNK):
         ns = np.arange(start, min(start + _EXT_CHUNK, q), dtype=np.int64)

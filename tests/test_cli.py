@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cmreduce import catalog_load
+from cmreduce import InternalInconsistencyError, catalog_load, invariants
 from cmreduce.cli import main
 
 
@@ -129,6 +129,19 @@ def test_invariants_resource_exit_with_json_envelope(capsys):
     doc = json.loads(out)
     assert doc["command"] == "invariants"
     assert doc["error"]["type"] == "ResourceLimitError"
+    assert err.startswith("error:")
+
+
+def test_internal_inconsistency_exit_with_json_envelope(capsys, monkeypatch):
+    def disagree(curve):
+        raise InternalInconsistencyError("p-rank disagrees with zero-slope multiplicity")
+
+    monkeypatch.setattr(invariants, "reduction_profile", disagree)
+    code, out, err = run(capsys, "invariants", "--curve", "cyclo-5", "--p", "19", "--json")
+    assert code == 6
+    doc = json.loads(out)
+    assert doc["command"] == "invariants"
+    assert doc["error"]["type"] == "InternalInconsistencyError"
     assert err.startswith("error:")
 
 

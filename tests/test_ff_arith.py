@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from cmreduce import DomainError, NotSquarefreeError, ResourceLimitError
+from cmreduce import DomainError, NotSquarefreeError
 from cmreduce.ff_arith import (
     ExtField,
     Matrix,
@@ -23,7 +23,7 @@ from cmreduce.ff_arith import (
     poly_divmod,
     poly_gcd,
     poly_mul,
-    poly_pow,
+    poly_pow_coeffs,
     poly_powmod,
     poly_trim,
 )
@@ -135,22 +135,35 @@ def test_poly_mul_crosses_kronecker_cutoff():
     assert poly_mul(f, g, p) == naive_mul(f, g, p)
 
 
-def test_poly_pow_small_cases():
+def test_poly_pow_coeffs_small_cases():
     p = 13
-    assert poly_pow([1, 1], 0, p) == [1]
-    assert poly_pow([1, 1], 2, p) == [1, 2, 1]
+    assert poly_pow_coeffs([1, 1], 0, p, [0, 1]) == {0: 1, 1: 0}
+    assert poly_pow_coeffs([1, 1], 2, p, [2, 0, 1, 3]) == {0: 1, 1: 2, 2: 1, 3: 0}
     # freshman's dream: (x + 1)^13 = x^13 + 1 mod 13
-    want = [1] + [0] * 12 + [1]
-    assert poly_pow([1, 1], 13, p) == want
+    want = dict.fromkeys(range(15), 0) | {0: 1, 13: 1}
+    assert poly_pow_coeffs([1, 1], 13, p, range(15)) == want
+    # a factor x^v shifts the power; indices below it, or negative, read 0
+    assert poly_pow_coeffs([0, 1, 1], 2, p, [-1, 1, 3, 4]) == {-1: 0, 1: 0, 3: 2, 4: 1}
+    assert poly_pow_coeffs([0, 1], 9, p, [3, 9]) == {3: 0, 9: 1}
+    with pytest.raises(DomainError):
+        poly_pow_coeffs([0], 3, 5, [1])
+    with pytest.raises(DomainError):
+        poly_pow_coeffs([1, 1], -1, 5, [0])
 
 
-def test_poly_pow_caps_degree():
-    with pytest.raises(ResourceLimitError):
-        poly_pow([0, 1], 1 << 30, 5)
-    with pytest.raises(DomainError):
-        poly_pow([0], 3, 5)
-    with pytest.raises(DomainError):
-        poly_pow([1, 1], -1, 5)
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_poly_pow_coeffs_matches_expansion(p):
+    # exponents past p put factors of p into the recurrence's divisors
+    rng = random.Random(p)
+    for _ in range(20):
+        f = [rng.randrange(p) for _ in range(rng.randrange(1, 7))] + [rng.randrange(1, p)]
+        e = rng.randrange(0, 3 * p)
+        full = [1]
+        for _ in range(e):
+            full = naive_mul(full, f, p)
+        wanted = rng.sample(range(len(full) + 3), min(len(full), 8))
+        got = poly_pow_coeffs(f, e, p, wanted)
+        assert got == {m: (full + [0] * 3)[m] for m in wanted}, (f, e)
 
 
 def test_poly_divmod_identity():

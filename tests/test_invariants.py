@@ -4,12 +4,16 @@ Cartier-Manin ranks are cross-checked against the raw definition (expand
 f^((p-1)/2) with naive big-int polynomials, twist, multiply, row-reduce),
 point counts against brute-force enumeration including small extension
 fields, and L-polynomials against both frozen worked values and forward
-prediction of counts the construction never consumed.
+prediction of counts the construction never consumed. Random squarefree
+curves drawn by hypothesis check the Cartier-Manin recurrence against the
+definition and the p-rank against the zero slopes.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from cmreduce import (
     BadReductionError,
@@ -19,12 +23,14 @@ from cmreduce import (
     a_number,
     cartier_manin,
     classify_group_scheme,
+    invariants,
     l_polynomial,
     newton_slopes,
     p_rank,
     point_count,
     reduction_profile,
 )
+from cmreduce.ff_arith import is_prime
 
 WENG = [0, 7, 0, 14, 0, 7, 0, 1]  # x^7 + 7x^5 + 14x^3 + 7x
 CYCLO5 = [-1, 0, 0, 0, 0, 1]  # x^5 - 1
@@ -136,6 +142,56 @@ def test_worked_p_rank_a_number():
     assert (p_rank(ReducedCurve(11, WENG)), a_number(ReducedCurve(11, WENG))) == (0, 1)
     g1 = ReducedCurve(3, [0, 1, 0, 1])
     assert (p_rank(g1), a_number(g1)) == (0, 1)
+
+
+def test_cartier_manin_caps_degree(monkeypatch):
+    # y^2 = x^257 - 1 at p = 2^20 - 3 would need 257 * (p - 1)/2 + 1 > 2^26
+    # coefficients of f^((p-1)/2): refused before any work
+    with pytest.raises(ResourceLimitError):
+        p_rank(ReducedCurve(1048573, [-1] + [0] * 256 + [1]))
+    # the cap is on deg f * (p-1)/2 + 1; x^5 - 1 at p = 19 sits at 46
+    curve = ReducedCurve(19, CYCLO5)
+    invariants._cartier_rows.cache_clear()
+    monkeypatch.setattr(invariants, "CARTIER_BUDGET", 45)
+    with pytest.raises(ResourceLimitError):
+        a_number(curve)
+    monkeypatch.setattr(invariants, "CARTIER_BUDGET", 46)
+    assert a_number(curve) == 2
+
+
+SMALL_PRIMES = [q for q in range(3, 98) if is_prime(q)]
+# p^g up to which the property test also counts points; below SLOPE_BUDGET =
+# 2^21, where a single L-polynomial near the top takes seconds
+TEST_SLOPE_BUDGET = 1 << 18
+
+
+@st.composite
+def small_curves(draw):
+    """Squarefree f of degree 3..10 over a prime 3..97; x | f half the time."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    d = draw(st.integers(3, 10))
+    f = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    f.append(draw(st.integers(1, p - 1)))
+    if draw(st.booleans()):
+        f[0] = 0
+    try:
+        return ReducedCurve(p, f)
+    except BadReductionError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(ReducedCurve(3, [1, 0, 0, 2, 1, 2, 2, 2, 0, 1]))  # p = 3 < g = 4
+@example(ReducedCurve(3, [0, 1, 2, 0, 2, 1, 0, 0, 1, 1]))  # p < g and x | f
+@example(ReducedCurve(3, [0, 2, 1, 1, 2, 0, 1, 1, 1, 2, 1]))  # even degree, x | f
+@example(ReducedCurve(97, [0, 7, 0, 14, 0, 7, 0, 1]))  # weng-g3, x | f
+@given(small_curves())
+def test_cartier_recurrence_matches_definition(curve):
+    p, g = curve.p, curve.genus
+    assert [m.rows for m in cartier_manin(curve)] == naive_cartier(p, curve.coeffs, g)
+    if p**g <= TEST_SLOPE_BUDGET:
+        zero_slopes = sum(1 for s in newton_slopes(l_polynomial(curve), p) if s == 0)
+        assert p_rank(curve) == zero_slopes
 
 
 # tiny extension fields for brute-force counts, little-endian moduli
