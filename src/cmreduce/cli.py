@@ -206,9 +206,7 @@ def cmd_invariants(args):
         )
     curve = generator.reduce_curve(record, args.p)
     profile = invariants.reduction_profile(curve)
-    lpoly = None
-    if curve.p**curve.genus <= invariants.SLOPE_BUDGET:
-        lpoly = invariants.l_polynomial(curve)
+    lpoly = profile.l_polynomial
     result = {
         "curve": record.label,
         "p": args.p,

@@ -112,26 +112,6 @@ class CMType:
         return f"CMType({s!r})"
 
 
-def period(t):
-    return t.period()
-
-
-def is_primitive(t):
-    return t.is_primitive()
-
-
-def canonicalize(t):
-    return t.canonicalize()
-
-
-def reflex(t):
-    return t.reflex()
-
-
-def conjugate(t):
-    return t.conjugate()
-
-
 @dataclass(frozen=True)
 class TypeClass:
     representative: CMType

@@ -1,8 +1,10 @@
-"""Exact arithmetic foundation.
+"""Exact arithmetic over the integers and F_p.
 
-Prime fields, extension fields, dense polynomials over F_p, matrix rank over
-any finite field, and arbitrary-precision integer number theory (primality,
-Kronecker symbol). Polynomials are dense little-endian coefficient lists:
+Arbitrary-precision number theory (primality, Kronecker symbol), dense
+polynomials over F_p (multiplication, division, gcd, distinct-degree
+factoring, irreducible moduli, single coefficients of a power), and the rank
+of a matrix over F_p. Elements of F_p are plain ints, matrices are sequences
+of integer rows, and polynomials are dense little-endian coefficient lists:
 index = exponent, no trailing zeros above the degree.
 
 poly_pow_coeffs loops once per coefficient up to the highest one asked for,
@@ -94,14 +96,6 @@ def poly_trim(f):
     while d > 0 and f[d] == 0:
         d -= 1
     return f[: d + 1]
-
-
-def poly_deg(f):
-    """Degree, with deg 0 = -1 for the zero polynomial."""
-    d = len(f) - 1
-    while d >= 0 and f[d] == 0:
-        d -= 1
-    return d
 
 
 _SCHOOLBOOK_CUTOFF = 48
@@ -264,13 +258,13 @@ def factor_degree_profile(f, p):
     return sorted(degrees)
 
 
-def find_irreducible(p, k, seed=0):
-    """Monic irreducible of degree k over F_p, deterministic per seed."""
+def find_irreducible(p, k):
+    """Monic irreducible of degree k over F_p, the same one on every call."""
     if k < 1:
         raise DomainError("find_irreducible: k must be >= 1")
     if k == 1:
         return [0, 1]
-    rng = random.Random(f"irr:{seed}:{p}:{k}")
+    rng = random.Random(f"irr:0:{p}:{k}")
     while True:
         f = [rng.randrange(p) for _ in range(k)] + [1]
         if _is_irreducible(f, p):
@@ -293,166 +287,11 @@ def _is_irreducible(f, p):
 
 
 # ---------------------------------------------------------------------------
-# fields and matrices
+# matrices over F_p
 
 
-class PrimeField:
-    """F_p with elements as canonical int residues."""
-
-    def __init__(self, p):
-        if not is_prime(p):
-            raise DomainError(f"PrimeField: {p} is not prime")
-        self.p = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
-class ExtField:
-    """F_{p^k} as F_p[t]/(modulus), elements as coefficient tuples of length k."""
-
-    def __init__(self, base, degree, modulus=None, seed=0):
-        if degree < 1:
-            raise DomainError("ExtField: degree must be >= 1")
-        self.base = base
-        self.degree = degree
-        p = base.p
-        if modulus is None:
-            modulus = find_irreducible(p, degree, seed=seed)
-        modulus = poly_trim([c % p for c in modulus])
-        if len(modulus) - 1 != degree or modulus[-1] != 1:
-            raise DomainError("ExtField: modulus must be monic of the stated degree")
-        if degree > 1 and not _is_irreducible(modulus, p):
-            raise DomainError("ExtField: modulus is reducible")
-        self.modulus = modulus
-        self.cardinality = p**degree
-
-    def _pad(self, f):
-        return tuple(list(f) + [0] * (self.degree - len(f)))
-
-    def zero(self):
-        return self._pad([])
-
-    def one(self):
-        return self._pad([1])
-
-    def from_base(self, a):
-        return self._pad([a % self.base.p])
-
-    def add(self, a, b):
-        p = self.base.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.base.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        p = self.base.p
-        prod = poly_mul(list(a), list(b), p)
-        return self._pad(poly_divmod(prod, self.modulus, p)[1])
-
-    def inv(self, a):
-        p = self.base.p
-        # extended Euclid in F_p[t]; r1 stays coprime to the irreducible modulus
-        r0, r1 = self.modulus, poly_trim(list(a))
-        if r1 == [0]:
-            raise ZeroDivisionError("ExtField: inverse of zero")
-        s0, s1 = [0], [1]
-        while poly_deg(r1) > 0:
-            q, r = poly_divmod(r0, r1, p)
-            qs = poly_mul(q, s1, p)
-            n = max(len(s0), len(qs))
-            diff = [
-                ((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % p
-                for i in range(n)
-            ]
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_trim(diff)
-        c = pow(r1[0], -1, p)
-        return self._pad([x * c % p for x in s1])
-
-    def is_zero(self, a):
-        return all(x % self.base.p == 0 for x in a)
-
-    def __repr__(self):
-        return f"ExtField(p={self.base.p}, k={self.degree})"
-
-
-class Matrix:
-    """Rectangular matrix with entries canonical in the given field."""
-
-    def __init__(self, field, rows):
-        rows = [list(r) for r in rows]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise DomainError("Matrix: ragged rows")
-        if isinstance(field, PrimeField):
-            rows = [[c % field.p for c in r] for r in rows]
-        self.field = field
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-
-    def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-
-def matrix_rank(m):
-    """Rank by Gaussian elimination over m's field."""
-    if isinstance(m.field, PrimeField):
-        return _rank_modp(m.rows, m.field.p)
-    F = m.field
-    rows = [list(r) for r in m.rows]
-    rank = 0
-    col = 0
-    ncols = m.ncols
-    while rank < len(rows) and col < ncols:
-        piv = next(
-            (i for i in range(rank, len(rows)) if not F.is_zero(rows[i][col])), None
-        )
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not F.is_zero(rows[i][col]):
-                c = rows[i][col]
-                rows[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_modp(rows, p):
+def matrix_rank(rows, p):
+    """Rank over F_p of a matrix given as a sequence of integer rows."""
     rows = [[c % p for c in r] for r in rows]
     rank = 0
     col = 0

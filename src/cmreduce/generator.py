@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .ff_arith import is_prime, kronecker
-from .invariants import SLOPE_BUDGET, ReducedCurve, reduction_profile
+from .invariants import ReducedCurve, reduction_profile
 from .predictor import predict_for_genus
 from .splitting import (
     CyclicCMField,
@@ -329,16 +329,16 @@ def _normalize_target(name):
 
 
 def _resolve_target(record, target_type):
-    """Map a target name to a find_prime target for this record's genus."""
+    """(normalized name, find_prime target) for this record's genus."""
     t = _normalize_target(target_type)
     g = record.genus
     if t == "ordinary":
-        return 2 * g
+        return t, 2 * g
     if t == "superspecial":
-        return g
+        return t, g
     if t == "supersingular":
         if g == 1:
-            return 1
+            return t, 1
         raise DomainError(
             "supersingular is ambiguous above genus 1; ask for superspecial"
             " or ssing-non-sspec"
@@ -349,25 +349,31 @@ def _resolve_target(record, target_type):
         raise DomainError(
             "ssing-non-sspec generation is only supported at genus 2"
         )
-    return ("kronecker", -1)
+    return t, ("kronecker", -1)
+
+
+def _meets_target(field, target, p, split):
+    """Whether the prime p meets a resolved target. split is _split_auto's
+    verdict at p; only integer targets consult it."""
+    if isinstance(target, tuple):
+        if kronecker(field.discriminant, p) != -1:
+            return False
+        if field.conductor is not None and math.gcd(p, field.conductor) == 1:
+            return split_by_residue(field, p).num_primes == 1
+        return True
+    return split is not None and split.num_primes == target
 
 
 def generation_predicate(record, target_type):
     """The predicate a generated prime must satisfy, reusable post hoc."""
-    target = _resolve_target(record, target_type)
+    _, target = _resolve_target(record, target_type)
     field = record.field
 
     def check(p):
         if p < 2 or not is_prime(p):
             return False
-        if isinstance(target, tuple):
-            if kronecker(field.discriminant, p) != -1:
-                return False
-            if field.conductor is not None and math.gcd(p, field.conductor) == 1:
-                return split_by_residue(field, p).num_primes == 1
-            return True
-        split = _split_auto(field, p)
-        return split is not None and split.num_primes == target
+        split = _split_auto(field, p) if isinstance(target, int) else None
+        return _meets_target(field, target, p, split)
 
     return check
 
@@ -385,8 +391,7 @@ def generate(record, target_type, bit_size, seed=0):
     """A prime of the requested size and splitting behaviour together with
     the reduced curve and its predicted type; invariants are verified when
     the prime is small enough."""
-    target = _resolve_target(record, target_type)
-    predicate = generation_predicate(record, target_type)
+    name, target = _resolve_target(record, target_type)
     p = None
     curve = None
     for attempt in range(_GENERATE_RETRIES):
@@ -400,11 +405,12 @@ def generate(record, target_type, bit_size, seed=0):
         raise BadReductionError(
             p, f"no good-reduction prime in {_GENERATE_RETRIES} prime searches"
         )
-    if not predicate(p):
+    # find_prime chose p by residue class; the split cross-checks it
+    split = _split_auto(record.field, p)
+    if not _meets_target(record.field, target, p, split):
         raise InternalInconsistencyError(
             f"generated prime {p} fails its own target predicate"
         )
-    split = _split_auto(record.field, p)
     if split is None:
         raise InternalInconsistencyError(
             f"generated prime {p} has no splitting verdict"
@@ -422,7 +428,7 @@ def generate(record, target_type, bit_size, seed=0):
                 f"{record.label} at p = {p}: computed ({verified.p_rank},"
                 f" {verified.a_number}) contradicts the prediction"
             )
-    return GenerationResult(p, curve, prediction, verified, _normalize_target(target_type))
+    return GenerationResult(p, curve, prediction, verified, name)
 
 
 @dataclass(frozen=True)
@@ -435,7 +441,7 @@ class VerifyReport:
     notes: tuple
 
 
-def verify(record, p, slope_budget=SLOPE_BUDGET):
+def verify(record, p):
     """Prediction against computed invariants at one prime.
 
     The match verdict compares (p-rank, a-number); it is None when no
@@ -445,7 +451,7 @@ def verify(record, p, slope_budget=SLOPE_BUDGET):
     if p >= VERIFY_CAP:
         raise ResourceLimitError(f"verify: p must be below {VERIFY_CAP}")
     curve = reduce_curve(record, p)
-    profile = reduction_profile(curve, slope_budget)
+    profile = reduction_profile(curve)
     notes = []
     split = _split_auto(record.field, p)
     prediction = None
@@ -495,7 +501,7 @@ class SweepResult:
         return sum(1 for r in self.reports if r.match is not None)
 
 
-def sweep(record, pmax, slope_budget=SLOPE_BUDGET):
+def sweep(record, pmax):
     """verify() per good prime p <= pmax, ascending; bad-reduction primes
     are collected, not verified."""
     if pmax >= VERIFY_CAP:
@@ -506,7 +512,7 @@ def sweep(record, pmax, slope_budget=SLOPE_BUDGET):
         if not is_prime(p):
             continue
         try:
-            reports.append(verify(record, p, slope_budget))
+            reports.append(verify(record, p))
         except BadReductionError:
             bad.append(p)
     return SweepResult(record.label, pmax, tuple(reports), tuple(bad))

@@ -7,7 +7,7 @@ L-polynomial. The group-scheme classifier maps (p-rank, a-number, slopes)
 to the p-torsion label for genus up to 3.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,8 +20,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .ff_arith import (
-    Matrix,
-    PrimeField,
     find_irreducible,
     is_prime,
     matrix_rank,
@@ -32,7 +30,7 @@ from .ff_arith import (
 )
 
 POINT_COUNT_BUDGET = 1 << 26  # largest field enumerated exhaustively
-SLOPE_BUDGET = 1 << 21  # default p^g ceiling for L-polynomial work
+SLOPE_BUDGET = 1 << 21  # largest p^g for which slopes are computed
 CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
 _CHUNK = 1 << 22
 _EXT_CHUNK = 1 << 18
@@ -95,10 +93,9 @@ def _cartier_rows(p, coeffs, g):
 
 def cartier_manin(curve):
     """Matrices A_0 .. A_{g-1} with (A_l)_{i,j} = (c_{ip-j})^(p^l), where c_m
-    is the x^m coefficient of f^((p-1)/2); these lie in F_p, so all equal A_0."""
-    field = PrimeField(curve.p)
-    a0 = _cartier_rows(curve.p, curve.coeffs, curve.genus)
-    return tuple(Matrix(field, a0) for _ in range(curve.genus))
+    is the x^m coefficient of f^((p-1)/2). Each is a g-tuple of row tuples of
+    ints in [0, p); the c_m lie in F_p, so all g matrices equal A_0."""
+    return (_cartier_rows(curve.p, curve.coeffs, curve.genus),) * curve.genus
 
 
 def _matmul(a, b, p):
@@ -116,13 +113,13 @@ def p_rank(curve):
     k = 1
     while k < curve.genus:
         m, k = _matmul(m, m, curve.p), 2 * k
-    return matrix_rank(Matrix(PrimeField(curve.p), m))
+    return matrix_rank(m, curve.p)
 
 
 def a_number(curve):
     """g minus the rank of A_0."""
     a0 = _cartier_rows(curve.p, curve.coeffs, curve.genus)
-    return curve.genus - matrix_rank(Matrix(PrimeField(curve.p), a0))
+    return curve.genus - matrix_rank(a0, curve.p)
 
 
 def _count_prime(coeffs, p, odd_degree):
@@ -289,6 +286,7 @@ class ReductionProfile:
     slopes: tuple | None
     group_scheme: str
     type_name: str
+    l_polynomial: tuple | None = None
 
     def __post_init__(self):
         if self.p_rank < 0 or self.a_number < 0 or self.p_rank + self.a_number < 1:
@@ -378,22 +376,26 @@ def _coarse_profile(g, f, a, slopes):
     return ReductionProfile(f, a, slopes, f"unclassified (genus {g})", name)
 
 
-def reduction_profile(curve, slope_budget=SLOPE_BUDGET):
+def reduction_profile(curve):
     """Full profile of a reduced curve.
 
-    Slopes (and the classification detail that needs them) are computed only
-    when p^g fits the budget; otherwise the profile carries slopes = None and
-    whatever the (f, a) pair alone determines.
+    The L-polynomial, the slopes and the classification detail that needs
+    them are computed only when p^g fits SLOPE_BUDGET (read at call time);
+    otherwise the profile carries l_polynomial = slopes = None and whatever
+    the (f, a) pair alone determines.
     """
     f = p_rank(curve)
     a = a_number(curve)
-    slopes = None
-    if curve.p**curve.genus <= min(slope_budget, POINT_COUNT_BUDGET):
-        slopes = tuple(newton_slopes(l_polynomial(curve), curve.p))
+    lpoly = slopes = None
+    if curve.p**curve.genus <= min(SLOPE_BUDGET, POINT_COUNT_BUDGET):
+        lpoly = tuple(l_polynomial(curve))
+        slopes = tuple(newton_slopes(lpoly, curve.p))
         if sum(1 for s in slopes if s == 0) != f:
             raise InternalInconsistencyError(
                 f"p-rank {f} disagrees with zero-slope multiplicity at p = {curve.p}"
             )
     if curve.genus <= 3:
-        return classify_group_scheme(curve.genus, f, a, slopes)
-    return _coarse_profile(curve.genus, f, a, slopes)
+        profile = classify_group_scheme(curve.genus, f, a, slopes)
+    else:
+        profile = _coarse_profile(curve.genus, f, a, slopes)
+    return replace(profile, l_polynomial=lpoly)

@@ -207,11 +207,17 @@ def find_prime(field, target, bit_size, seed=0, max_attempts=FIND_PRIME_ATTEMPT_
         )
     residues = table[target]
     f = field.conductor
+    # per residue r, the range of m with r + f*m in [lo, hi); -(x // f) is ceil
+    spans = {r: (-((r - lo) // f), (hi - 1 - r) // f) for r in residues}
+    if all(m_lo > m_hi for m_lo, m_hi in spans.values()):
+        raise PrimeSearchTimeout(
+            f"{field.label}: no residue class with {target} primes meets"
+            f" [2^{bit_size}, 2^{bit_size + 1})"
+        )
     rng = random.Random(f"findprime:{seed}:{field.label}:L{target}:{bit_size}")
     for _ in range(max_attempts):
         r = rng.choice(residues)
-        m_lo = -((r - lo) // f)  # ceil((lo - r) / f)
-        m_hi = (hi - 1 - r) // f
+        m_lo, m_hi = spans[r]
         if m_lo > m_hi:
             continue
         p = r + f * rng.randrange(m_lo, m_hi + 1)

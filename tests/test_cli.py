@@ -116,6 +116,22 @@ def test_invariants_text_formats_l_polynomial(capsys):
     assert "p-rank 0, a-number 3" in out
 
 
+def test_invariants_counts_points_once(capsys, monkeypatch):
+    # the L-polynomial comes with the profile: one point count per k <= g
+    calls = []
+    count = invariants.point_count
+
+    def counted(curve, k=1):
+        calls.append(k)
+        return count(curve, k)
+
+    monkeypatch.setattr(invariants, "point_count", counted)
+    code, doc, _ = run_json(capsys, "invariants", "--curve", "weng-g3", "--p", "59")
+    assert code == 0
+    assert sorted(calls) == [1, 2, 3]
+    assert doc["result"]["l_polynomial"] == [1, 0, 0, 0, 0, 0, 205379]
+
+
 def test_invariants_bad_reduction_exit(capsys):
     code, _, err = run(capsys, "invariants", "--curve", "weng-g3", "--p", "7")
     assert code == 3

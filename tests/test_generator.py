@@ -11,10 +11,13 @@ from cmreduce import (
     CMCurveRecord,
     CMType,
     DomainError,
+    InternalInconsistencyError,
     ResourceLimitError,
+    SplittingType,
     catalog_load,
     generate,
     generation_predicate,
+    generator,
     reduce_curve,
     sweep,
     verify,
@@ -208,6 +211,32 @@ def test_generate_large_prime_skips_verification(catalog):
     res = generate(catalog.record("wamelen-c1"), "ssing-non-sspec", 24)
     assert res.verified_profile is None  # past the verification cap
     assert res.prediction.profile.type_name == "supersingular non-superspecial"
+
+
+def test_generate_factors_once_per_prime(catalog, monkeypatch):
+    calls = []
+    split = generator.split_by_factorization
+
+    def counted(field, p):
+        calls.append(p)
+        return split(field, p)
+
+    monkeypatch.setattr(generator, "split_by_factorization", counted)
+    for label in ("weng-g3", "wamelen-c1"):
+        calls.clear()
+        res = generate(catalog.record(label), "ordinary", 128)
+        assert calls == [res.p]
+        assert res.prediction.profile.type_name == "ordinary"
+
+
+def test_generate_cross_checks_residue_search(catalog, monkeypatch):
+    # find_prime picks p by residue class; a factorization verdict that
+    # disagrees with the target is a bug, not a retry
+    monkeypatch.setattr(
+        generator, "split_by_factorization", lambda field, p: SplittingType(1, 6)
+    )
+    with pytest.raises(InternalInconsistencyError):
+        generate(catalog.record("weng-g3"), "ordinary", 64)
 
 
 def test_verify_worked_primes(catalog):

@@ -123,7 +123,7 @@ def test_cartier_manin_matches_definition(p, coeffs):
     g = curve.genus
     want = naive_cartier(p, curve.coeffs, g)
     got = cartier_manin(curve)
-    assert [m.rows for m in got] == want
+    assert [[list(r) for r in m] for m in got] == want
     # ranks against a from-scratch row reduction
     prod = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
     for m in reversed(want):
@@ -188,7 +188,8 @@ def small_curves(draw):
 @given(small_curves())
 def test_cartier_recurrence_matches_definition(curve):
     p, g = curve.p, curve.genus
-    assert [m.rows for m in cartier_manin(curve)] == naive_cartier(p, curve.coeffs, g)
+    got = cartier_manin(curve)
+    assert [[list(r) for r in m] for m in got] == naive_cartier(p, curve.coeffs, g)
     if p**g <= TEST_SLOPE_BUDGET:
         zero_slopes = sum(1 for s in newton_slopes(l_polynomial(curve), p) if s == 0)
         assert p_rank(curve) == zero_slopes
@@ -454,12 +455,15 @@ def test_reduction_profile_worked_examples():
     assert r.type_name == "supersingular non-superspecial"
 
 
-def test_reduction_profile_skips_slopes_over_budget():
+def test_reduction_profile_skips_slopes_over_budget(monkeypatch):
     # 211^3 is past the default slope budget; (f, a) must still be computed
     r = reduction_profile(ReducedCurve(211, WENG))
-    assert r.slopes is None
+    assert r.slopes is None and r.l_polynomial is None
     assert r.p_rank + r.a_number >= 1
     # with a raised budget the same curve gets slopes
-    r2 = reduction_profile(ReducedCurve(211, WENG), slope_budget=1 << 24)
+    monkeypatch.setattr(invariants, "SLOPE_BUDGET", 1 << 24)
+    r2 = reduction_profile(ReducedCurve(211, WENG))
     assert r2.slopes is not None
+    assert len(r2.l_polynomial) == 7
+    assert newton_slopes(r2.l_polynomial, 211) == list(r2.slopes)
     assert (r2.p_rank, r2.a_number) == (r.p_rank, r.a_number)

@@ -5,6 +5,8 @@ polynomials), and the Stickelberger parity must never disagree on an
 unramified non-index prime. Frozen spot values pin down each route alone.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from cmreduce import (
@@ -15,10 +17,12 @@ from cmreduce import (
     PrimeSearchTimeout,
     RamifiedPrimeError,
     SplittingType,
+    catalog_load,
     find_prime,
     residue_class_table,
     split_by_factorization,
     split_by_residue,
+    splitting,
     stickelberger_parity,
 )
 from cmreduce.ff_arith import is_prime, kronecker
@@ -207,6 +211,20 @@ def test_find_prime_empty_class_times_out_immediately():
     # the quartic field has no primes with 3 factors
     with pytest.raises(PrimeSearchTimeout):
         find_prime(QUARTIC, 3, 32)
+
+
+def test_find_prime_empty_window_times_out_immediately(monkeypatch):
+    # no class mod 28 with 6 primes meets [4, 8): fail before any sampling
+    field = catalog_load().field("sextic-5-2")
+    assert field.conductor == 28
+
+    def no_sampling(*args):
+        raise AssertionError("find_prime sampled an empty window")
+
+    monkeypatch.setattr(splitting, "is_prime", no_sampling)
+    monkeypatch.setattr(splitting, "random", SimpleNamespace(Random=no_sampling))
+    with pytest.raises(PrimeSearchTimeout):
+        find_prime(field, 6, 2)
 
 
 def test_find_prime_rejects_bad_arguments():
