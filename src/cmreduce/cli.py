@@ -278,19 +278,13 @@ def cmd_verify(args):
     catalog = _load_catalog(args)
     record = catalog.record(args.curve)
     if args.p is not None:
-        reports = [generator.verify(record, args.p)]
-        bad = ()
-        pmax = args.p
+        report = generator.verify(record, args.p)
+        res = generator.SweepResult(record.label, args.p, (report,), ())
     else:
         res = generator.sweep(record, args.pmax)
-        reports = list(res.reports)
-        bad = res.bad_primes
-        pmax = args.pmax
     rows = []
     lines = []
-    mismatches = []
-    verified = 0
-    for r in reports:
+    for r in res.reports:
         pred_fa = None
         if r.prediction is not None and r.prediction.profile is not None:
             pred_fa = [r.prediction.profile.p_rank, r.prediction.profile.a_number]
@@ -306,10 +300,6 @@ def cmd_verify(args):
                 "notes": list(r.notes),
             }
         )
-        if r.match is False:
-            mismatches.append(r.p)
-        if r.match is not None:
-            verified += 1
         shape = "-" if r.splitting is None else f"l={r.splitting.num_primes}"
         pred_txt = "-" if pred_fa is None else f"({pred_fa[0]},{pred_fa[1]})"
         comp_txt = f"({r.profile.p_rank},{r.profile.a_number})"
@@ -321,19 +311,19 @@ def cmd_verify(args):
             f"  p={r.p:<7} {shape:<5} predicted {pred_txt:<6}"
             f" computed {comp_txt:<6} {flag}"
         )
-    summary = f"{verified} verified, {len(mismatches)} mismatches"
-    if bad:
-        summary += f"; bad reduction at {', '.join(map(str, bad))}"
+    summary = f"{res.verified} verified, {len(res.mismatches)} mismatches"
+    if res.bad_primes:
+        summary += f"; bad reduction at {', '.join(map(str, res.bad_primes))}"
     lines.append(summary)
     result = {
         "curve": record.label,
-        "pmax": pmax,
+        "pmax": res.pmax,
         "rows": rows,
-        "bad_reduction": list(bad),
-        "verified": verified,
-        "mismatches": mismatches,
+        "bad_reduction": list(res.bad_primes),
+        "verified": res.verified,
+        "mismatches": res.mismatches,
     }
-    code = EXIT_MISMATCH if mismatches else EXIT_OK
+    code = EXIT_MISMATCH if res.mismatches else EXIT_OK
     return result, lines, code
 
 

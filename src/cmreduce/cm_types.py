@@ -8,9 +8,11 @@ the extended string; the canonical class representative is the
 lexicographically least rotation.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
+from .ff_arith import factorize
 
 ENUMERATION_CAP = 24  # enumerate_classes scans 2**g strings
 
@@ -169,33 +171,12 @@ def enumerate_classes(g):
 
 
 def _mobius(n):
-    m = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if n > 1:
-        m = -m
-    return m
+    e = factorize(n).values()
+    return 0 if any(x > 1 for x in e) else (-1) ** len(e)
 
 
 def _totient(n):
-    r = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            r -= r // d
-        d += 1
-    if m > 1:
-        r -= r // m
-    return r
+    return math.prod(q ** (e - 1) * (q - 1) for q, e in factorize(n).items())
 
 
 def count_P(k):

@@ -1,15 +1,17 @@
 """Exact arithmetic over the integers and F_p.
 
-Arbitrary-precision number theory (primality, Kronecker symbol), dense
-polynomials over F_p (multiplication, division, gcd, distinct-degree
-factoring, irreducible moduli, single coefficients of a power), and the rank
-of a matrix over F_p. Elements of F_p are plain ints, matrices are sequences
-of integer rows, and polynomials are dense little-endian coefficient lists:
-index = exponent, no trailing zeros above the degree.
+Arbitrary-precision number theory (primality, Kronecker symbol), trial
+division of small integers (factorize), dense polynomials over F_p
+(multiplication, division, gcd, distinct-degree factoring, irreducible
+moduli, single coefficients of a power), and the rank of a matrix over F_p.
+Elements of F_p are plain ints, matrices are sequences of integer rows, and
+polynomials are dense little-endian coefficient lists: index = exponent, no
+trailing zeros above the degree.
 
 poly_pow_coeffs loops once per coefficient up to the highest one asked for,
-so its callers bound that index; the pure residue arithmetic here (is_prime,
-kronecker, powmod-based factoring) takes arbitrary-precision input.
+and factorize once per trial divisor up to sqrt(n), so their callers bound
+those; the pure residue arithmetic here (is_prime, kronecker, powmod-based
+factoring) takes arbitrary-precision input.
 """
 
 import random
@@ -85,6 +87,22 @@ def kronecker(D, n):
             r = -r
         a %= n
     return r if n == 1 else 0
+
+
+def factorize(n):
+    """{prime: exponent} for n >= 1 by trial division; for small n only."""
+    if n < 1:
+        raise DomainError("factorize: n must be >= 1")
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +285,11 @@ def find_irreducible(p, k):
     rng = random.Random(f"irr:0:{p}:{k}")
     while True:
         f = [rng.randrange(p) for _ in range(k)] + [1]
-        if _is_irreducible(f, p):
-            return f
-
-
-def _is_irreducible(f, p):
-    # no factor of degree <= k/2 implies irreducible
-    k = len(f) - 1
-    if poly_gcd(f, poly_deriv(f, p), p) != [1]:
-        return False
-    h = [0, 1]
-    for _ in range(k // 2):
-        h = poly_powmod(h, p, f, p)
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        if poly_gcd(f, diff, p) != [1]:
-            return False
-    return True
+        try:
+            if factor_degree_profile(f, p) == [k]:
+                return f
+        except NotSquarefreeError:
+            pass
 
 
 # ---------------------------------------------------------------------------

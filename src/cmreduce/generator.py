@@ -23,7 +23,7 @@ from .errors import (
     NotSquarefreeError,
     ResourceLimitError,
 )
-from .ff_arith import is_prime, kronecker
+from .ff_arith import factorize, is_prime, kronecker
 from .invariants import ReducedCurve, reduction_profile
 from .predictor import predict_for_genus
 from .splitting import (
@@ -84,16 +84,7 @@ class CMCurveRecord:
 
 def _primitive_root(n):
     order = n - 1
-    prime_factors = set()
-    m, d = order, 2
-    while d * d <= m:
-        if m % d == 0:
-            prime_factors.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        prime_factors.add(m)
+    prime_factors = factorize(order)
     for g in range(2, n):
         if all(pow(g, order // q, n) != 1 for q in prime_factors):
             return g

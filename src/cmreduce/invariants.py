@@ -24,6 +24,7 @@ from .ff_arith import (
     is_prime,
     matrix_rank,
     poly_deriv,
+    poly_divmod,
     poly_gcd,
     poly_pow_coeffs,
     poly_trim,
@@ -32,7 +33,6 @@ from .ff_arith import (
 POINT_COUNT_BUDGET = 1 << 26  # largest field enumerated exhaustively
 SLOPE_BUDGET = 1 << 21  # largest p^g for which slopes are computed
 CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
-_CHUNK = 1 << 22
 _EXT_CHUNK = 1 << 18
 
 
@@ -122,62 +122,41 @@ def a_number(curve):
     return curve.genus - matrix_rank(a0, curve.p)
 
 
-def _count_prime(coeffs, p, odd_degree):
-    qr = np.zeros(p, dtype=np.bool_)
-    total = 0
-    for start in range(0, p, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, p), dtype=np.int64)
-        qr[(xs * xs) % p] = True
-    for start in range(0, p, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, p), dtype=np.int64)
-        acc = np.full(xs.size, coeffs[-1], dtype=np.int64)
-        for c in reversed(coeffs[:-1]):
-            acc = (acc * xs + c) % p
-        zero = acc == 0
-        total += int(np.count_nonzero(zero))
-        total += 2 * int(np.count_nonzero(qr[acc] & ~zero))
-    if odd_degree:
-        return total + 1
-    return total + (2 if qr[coeffs[-1]] else 0)
-
-
-def _ext_reduction_rows(modulus, p, k):
-    # x^m mod modulus for m = k .. 2k-2, little-endian rows of length k
-    rows = []
-    cur = [(-modulus[i]) % p for i in range(k)]
-    rows.append(cur)
-    for _ in range(k - 2):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [(cur[i] + top * rows[0][i]) % p for i in range(k)]
-        rows.append(cur)
-    return rows
-
-
 def _ext_mul_step(acc, d, c, red, p, k):
-    # acc*x + c where x runs over the chunk and c is an F_p scalar
+    # acc*x + c where x runs over the chunk and c is an F_p scalar; with
+    # entries in [0, p), each sum before the one reduction is below
+    # k p^2 + (k-1) k p^3 + p, which p^k <= POINT_COUNT_BUDGET keeps under 2^53
     n = d.shape[1]
     s = np.zeros((2 * k - 1, n), dtype=np.int64)
     for i in range(k):
         for j in range(k):
             s[i + j] += acc[i] * d[j]
-    s %= p
-    r = s[:k].copy()
+    r = s[:k]
     for m in range(k, 2 * k - 1):
-        row = red[m - k]
-        for i in range(k):
-            if row[i]:
-                r[i] += s[m] * row[i]
-    r %= p
-    r[0] = (r[0] + c) % p
-    return r
+        for i, v in enumerate(red[m - k]):
+            if v:
+                r[i] += s[m] * v
+    r[0] += c
+    return r % p
 
 
-def _count_ext(coeffs, p, k, odd_degree):
+def point_count(curve, k=1):
+    """#C(F_{p^k}) by exhaustive enumeration, including points at infinity.
+
+    F_{p^k} is F_p[x] modulo find_irreducible(p, k), its elements vectors of
+    k base-p digits; at k = 1 the modulus is x and nothing is reduced.
+    """
+    p, coeffs = curve.p, curve.coeffs
+    if k < 1:
+        raise DomainError("point_count: extension degree must be >= 1")
     q = p**k
+    if q > POINT_COUNT_BUDGET:
+        raise ResourceLimitError(
+            f"point_count: field size {p}^{k} exceeds {POINT_COUNT_BUDGET}"
+        )
     modulus = find_irreducible(p, k)
-    red = _ext_reduction_rows(modulus, p, k)
+    # x^m mod the modulus for m = k .. 2k-2, little-endian
+    red = [poly_divmod([0] * m + [1], modulus, p)[1] for m in range(k, 2 * k - 1)]
     weights = np.array([p**i for i in range(k)], dtype=np.int64)
 
     def digits(ns):
@@ -205,24 +184,9 @@ def _count_ext(coeffs, p, k, odd_degree):
         zero = enc == 0
         total += int(np.count_nonzero(zero))
         total += 2 * int(np.count_nonzero(squares[enc] & ~zero))
-    if odd_degree:
+    if curve.degree % 2:
         return total + 1
     return total + (2 if squares[coeffs[-1]] else 0)
-
-
-def point_count(curve, k=1):
-    """#C(F_{p^k}) by exhaustive enumeration, including points at infinity."""
-    if k < 1:
-        raise DomainError("point_count: extension degree must be >= 1")
-    q = curve.p**k
-    if q > POINT_COUNT_BUDGET:
-        raise ResourceLimitError(
-            f"point_count: field size {curve.p}^{k} exceeds {POINT_COUNT_BUDGET}"
-        )
-    odd = curve.degree % 2 == 1
-    if k == 1:
-        return _count_prime(curve.coeffs, curve.p, odd)
-    return _count_ext(curve.coeffs, curve.p, k, odd)
 
 
 def l_polynomial(curve):

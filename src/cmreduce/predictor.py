@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, RamifiedPrimeError
+from .ff_arith import factorize
 from .invariants import ReductionProfile, classify_group_scheme
 
 _HALF = Fraction(1, 2)
@@ -195,14 +196,8 @@ def rm_endo_degree(d):
         m = d // 4
     else:
         raise DomainError(f"rm_endo_degree: {d} is not a fundamental discriminant")
-    r = m
-    f = 2
-    while f * f <= r:
-        if r % (f * f) == 0:
-            raise DomainError(f"rm_endo_degree: {d} is not a fundamental discriminant")
-        while r % f == 0:
-            r //= f
-        f += 1
+    if any(e > 1 for e in factorize(m).values()):
+        raise DomainError(f"rm_endo_degree: {d} is not a fundamental discriminant")
     if d % 4 == 1:
         return (d - 1) ** 2 // 16
     return d * d

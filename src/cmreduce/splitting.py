@@ -22,10 +22,6 @@ from .ff_arith import factor_degree_profile, is_prime, kronecker, poly_trim
 FIND_PRIME_ATTEMPT_CAP = 10**6
 
 
-def _units(f):
-    return [r for r in range(1, f) if math.gcd(r, f) == 1]
-
-
 def _subgroup_closure(gens, f):
     h = {1}
     frontier = [1]
@@ -39,13 +35,11 @@ def _subgroup_closure(gens, f):
     return frozenset(h)
 
 
-def _coset_order(r, h, f, cap):
-    x = r % f
-    for e in range(1, cap + 1):
-        if x in h:
-            return e
-        x = x * r % f
-    raise InternalInconsistencyError(f"residue {r} generates a coset of order > {cap}")
+def _coset_order(r, h, f):
+    x, e = r, 1
+    while x not in h:
+        x, e = x * r % f, e + 1
+    return e
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ class CyclicCMField:
         self.conductor = conductor
         self.h_generators = tuple(int(x) for x in (h_generators or []))
         if conductor is None:
-            self.unit_subgroup = None
+            self.unit_subgroup = self.inertia_degrees = None
         else:
             if conductor < 3:
                 raise DomainError("CyclicCMField: conductor must be >= 3")
@@ -90,15 +84,16 @@ class CyclicCMField:
             if any(math.gcd(g, conductor) != 1 for g in gens):
                 raise DomainError("CyclicCMField: subgroup generators must be units")
             h = _subgroup_closure(gens, conductor)
-            units = _units(conductor)
+            units = [r for r in range(1, conductor) if math.gcd(r, conductor) == 1]
             if len(units) != two_g * len(h):
                 raise DomainError(
                     f"CyclicCMField: subgroup has index {len(units) / len(h)},"
                     f" expected {two_g}"
                 )
-            # the quotient must be cyclic of order 2g for the field to be cyclic
-            orders = [_coset_order(r, h, conductor, len(units)) for r in units]
-            if max(orders) != two_g:
+            # {unit residue: inertia degree}; the quotient must be cyclic of
+            # order 2g for the field to be cyclic
+            self.inertia_degrees = {r: _coset_order(r, h, conductor) for r in units}
+            if max(self.inertia_degrees.values()) != two_g:
                 raise DomainError("CyclicCMField: unit quotient is not cyclic of order 2g")
             self.unit_subgroup = h
 
@@ -118,7 +113,7 @@ def split_by_residue(field, p):
     f = field.conductor
     if math.gcd(p, f) != 1:
         raise RamifiedPrimeError(f"p = {p} divides the conductor {f}")
-    e = _coset_order(p, field.unit_subgroup, f, field.two_g)
+    e = field.inertia_degrees[p % f]
     return SplittingType(field.two_g // e, e)
 
 
@@ -126,12 +121,10 @@ def residue_class_table(field):
     """Partition of units mod the conductor, keyed by number of primes."""
     if field.conductor is None:
         raise MissingDataError(f"{field.label}: conductor unknown")
-    f = field.conductor
     table = {}
-    for r in _units(f):
-        e = _coset_order(r, field.unit_subgroup, f, field.two_g)
+    for r, e in field.inertia_degrees.items():
         table.setdefault(field.two_g // e, []).append(r)
-    return {ell: sorted(rs) for ell, rs in table.items()}
+    return table
 
 
 def stickelberger_parity(field, p):
@@ -178,7 +171,8 @@ def find_prime(field, target, bit_size, seed=0, max_attempts=FIND_PRIME_ATTEMPT_
     target: an integer (number of primes), a SplittingType, or a pair
     ("kronecker", v) asking for kronecker(D, p) = v. Residue targets sample
     within the admissible classes mod the conductor; Kronecker targets use
-    rejection sampling. Deterministic per seed.
+    rejection sampling. Deterministic per seed. A window of at most
+    max_attempts candidates fails as soon as every candidate has been drawn.
     """
     if bit_size < 2:
         raise DomainError("find_prime: bit size must be >= 2")
@@ -186,43 +180,58 @@ def find_prime(field, target, bit_size, seed=0, max_attempts=FIND_PRIME_ATTEMPT_
     hi = 1 << (bit_size + 1)
     if isinstance(target, SplittingType):
         target = target.num_primes
+    want = None
     if isinstance(target, tuple) and len(target) == 2 and target[0] == "kronecker":
         want = target[1]
         if want not in (-1, 1):
             raise DomainError("find_prime: Kronecker target must be -1 or 1")
         rng = random.Random(f"findprime:{seed}:{field.label}:K{want}:{bit_size}")
-        for _ in range(max_attempts):
-            p = rng.randrange(lo, hi) | 1
-            if kronecker(field.discriminant, p) == want and is_prime(p):
-                return p
-        raise PrimeSearchTimeout(
-            f"no prime with ({field.discriminant}/p) = {want} in {max_attempts} attempts"
-        )
-    if not isinstance(target, int):
+
+        def draw():
+            return rng.randrange(lo, hi) | 1
+
+        window = (hi - lo) // 2  # the odd numbers
+        wanted = f"with ({field.discriminant}/p) = {want}"
+    elif isinstance(target, int):
+        table = residue_class_table(field)
+        if target not in table:
+            raise PrimeSearchTimeout(
+                f"{field.label}: no residue class with {target} primes"
+            )
+        residues = table[target]
+        f = field.conductor
+        # per residue r, the range of m with r + f*m in [lo, hi); -(x // f) is ceil
+        spans = {r: (-((r - lo) // f), (hi - 1 - r) // f) for r in residues}
+        window = sum(max(m_hi - m_lo + 1, 0) for m_lo, m_hi in spans.values())
+        if not window:
+            raise PrimeSearchTimeout(
+                f"{field.label}: no residue class with {target} primes meets"
+                f" [2^{bit_size}, 2^{bit_size + 1})"
+            )
+        rng = random.Random(f"findprime:{seed}:{field.label}:L{target}:{bit_size}")
+
+        def draw():
+            r = rng.choice(residues)
+            m_lo, m_hi = spans[r]
+            return None if m_lo > m_hi else r + f * rng.randrange(m_lo, m_hi + 1)
+
+        wanted = f"with {target} factors near 2^{bit_size}"
+    else:
         raise DomainError(f"find_prime: unsupported target {target!r}")
-    table = residue_class_table(field)
-    if target not in table:
-        raise PrimeSearchTimeout(
-            f"{field.label}: no residue class with {target} primes"
-        )
-    residues = table[target]
-    f = field.conductor
-    # per residue r, the range of m with r + f*m in [lo, hi); -(x // f) is ceil
-    spans = {r: (-((r - lo) // f), (hi - 1 - r) // f) for r in residues}
-    if all(m_lo > m_hi for m_lo, m_hi in spans.values()):
-        raise PrimeSearchTimeout(
-            f"{field.label}: no residue class with {target} primes meets"
-            f" [2^{bit_size}, 2^{bit_size + 1})"
-        )
-    rng = random.Random(f"findprime:{seed}:{field.label}:L{target}:{bit_size}")
+    # rejects are remembered only when they can exhaust the window
+    exhaustible = window <= max_attempts
+    rejected = set()
     for _ in range(max_attempts):
-        r = rng.choice(residues)
-        m_lo, m_hi = spans[r]
-        if m_lo > m_hi:
+        p = draw()
+        if p is None or p in rejected:
             continue
-        p = r + f * rng.randrange(m_lo, m_hi + 1)
-        if p >= 2 and is_prime(p):
+        if (want is None or kronecker(field.discriminant, p) == want) and is_prime(p):
             return p
-    raise PrimeSearchTimeout(
-        f"no prime with {target} factors near 2^{bit_size} in {max_attempts} attempts"
-    )
+        if exhaustible:
+            rejected.add(p)
+            if len(rejected) == window:
+                raise PrimeSearchTimeout(
+                    f"{field.label}: no prime {wanted}; every candidate in"
+                    f" [2^{bit_size}, 2^{bit_size + 1}) was drawn"
+                )
+    raise PrimeSearchTimeout(f"no prime {wanted} in {max_attempts} attempts")

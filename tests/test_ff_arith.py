@@ -5,6 +5,7 @@ fast paths (Kronecker-substitution multiply, DDF, echelon rank) are never the
 only implementation of themselves.
 """
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from cmreduce import DomainError, NotSquarefreeError
 from cmreduce.ff_arith import (
     factor_degree_profile,
+    factorize,
     find_irreducible,
     is_prime,
     kronecker,
@@ -40,6 +42,15 @@ def trial_division(n):
 def test_is_prime_small_range():
     for n in range(-3, 2000):
         assert is_prime(n) == trial_division(n), n
+
+
+def test_factorize_small_range():
+    for n in range(1, 2000):
+        fac = factorize(n)
+        assert all(trial_division(q) and e >= 1 for q, e in fac.items()), n
+        assert math.prod(q**e for q, e in fac.items()) == n
+    with pytest.raises(DomainError):
+        factorize(0)
 
 
 def test_is_prime_carmichael_and_strong_pseudoprimes():

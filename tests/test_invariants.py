@@ -6,7 +6,8 @@ point counts against brute-force enumeration including small extension
 fields, and L-polynomials against both frozen worked values and forward
 prediction of counts the construction never consumed. Random squarefree
 curves drawn by hypothesis check the Cartier-Manin recurrence against the
-definition and the p-rank against the zero slopes.
+definition, the p-rank against the zero slopes, and point counts over F_p
+and F_{p^2} against brute force.
 """
 
 from fractions import Fraction
@@ -260,9 +261,27 @@ def brute_count(coeffs, p, k=1, modulus=None):
 
 def test_point_count_prime_field():
     assert point_count(ReducedCurve(3, CYCLO5)) == 4
+    # Deuring: y^2 = x^3 - 1 is supersingular at p = 2 mod 3, so #E = p + 1;
+    # p = 262151 spans two 2^18-element chunks
+    assert point_count(ReducedCurve(262151, [-1, 0, 0, 1])) == 262152
     for p, coeffs in [(3, CYCLO5), (13, WENG), (3, [0, 1, 0, 1]),
                       (3, [1, 1, 0, 0, 0, 0, 2]), (11, [1, 1, 0, 0, 0, 1])]:
         assert point_count(ReducedCurve(p, coeffs)) == brute_count(coeffs, p), (p, coeffs)
+
+
+def quadratic_modulus(p):
+    """x^2 - n for the least quadratic non-residue n mod p."""
+    n = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    return [p - n, 0, 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_curves())
+def test_point_count_matches_brute_force(curve):
+    p, f = curve.p, list(curve.coeffs)
+    assert point_count(curve) == brute_count(f, p)
+    if p * p <= 2000:
+        assert point_count(curve, 2) == brute_count(f, p, 2, quadratic_modulus(p))
 
 
 def test_point_count_extension_fields():

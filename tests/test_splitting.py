@@ -227,6 +227,31 @@ def test_find_prime_empty_window_times_out_immediately(monkeypatch):
         find_prime(field, 6, 2)
 
 
+@pytest.mark.parametrize("field_label, target", [
+    ("cyclotomic-5", 2),  # cyclo-5 superspecial: the 3-bit candidates are 9 and 14
+    ("quartic-5-65-845", ("kronecker", -1)),  # wamelen-c1 ssing-non-sspec: 9..15
+])
+def test_find_prime_window_without_primes_times_out_quickly(
+        monkeypatch, field_label, target):
+    # the window holds candidates but no prime: stop once each one is drawn.
+    # Kronecker calls count too: no 9..15 has (21125/p) = -1, so a search
+    # over that window never reaches is_prime
+    field = catalog_load().field(field_label)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(splitting, "is_prime", counted(is_prime))
+    monkeypatch.setattr(splitting, "kronecker", counted(kronecker))
+    with pytest.raises(PrimeSearchTimeout, match=r"in \[2\^3, 2\^4\)"):
+        find_prime(field, target, 3)
+    assert len(calls) < 100
+
+
 def test_find_prime_rejects_bad_arguments():
     with pytest.raises(DomainError):
         find_prime(QUARTIC, 1, 1)
