@@ -20,7 +20,6 @@ from .errors import (
     PrimeSearchTimeout,
     ResourceLimitError,
 )
-from .ff_arith import is_prime
 
 SCHEMA_VERSION = 1
 
@@ -169,8 +168,6 @@ def cmd_split(args):
     catalog = _load_catalog(args)
     field = catalog.field(args.field)
     p = args.p
-    if p < 2 or not is_prime(p):
-        raise DomainError(f"p = {p} is not prime")
     method = args.method
     if method == "stickelberger":
         parity = splitting.stickelberger_parity(field, p)

@@ -129,17 +129,6 @@ def _cyclo_record(ell, field):
     )
 
 
-# CM-type exponents for the shipped curves: the quartic field carries the
-# unique equivalence class at g = 2, the sextic field the one used by the
-# genus 3 construction.
-_SHIPPED_CM_TYPES = {
-    "wamelen-c1": (2, (0, 1)),
-    "wamelen-c2": (2, (0, 1)),
-    "weng-g3": (3, (0, 1, 2)),
-    "cyclo-5": (2, (0, 1)),
-}
-
-
 class Catalog:
     def __init__(self, version, fields, curves):
         self.version = version
@@ -189,16 +178,18 @@ class Catalog:
             d["discriminant"] = f.discriminant
             d["defining_polys"] = [list(q) for q in f.defining_polys]
             fields.append(d)
-        curves = [
-            {
+        curves = []
+        for c in self.curves.values():
+            d = {
                 "label": c.label,
                 "genus": c.genus,
                 "f_coeffs": list(c.f_coeffs),
                 "field_label": c.field.label,
                 "provenance": c.provenance,
             }
-            for c in self.curves.values()
-        ]
+            if c.cm_type is not None:
+                d["cm_type"] = sorted(c.cm_type.exponents)
+            curves.append(d)
         return {"version": self.version, "fields": fields, "curves": curves}
 
     def dump(self):
@@ -257,10 +248,10 @@ def catalog_load(path=None):
             _require(key in rc, where, f"missing {key}")
         _require(rc["field_label"] in by_label, where,
                  f"unknown field_label {rc['field_label']!r}")
-        cm_type = None
-        known = _SHIPPED_CM_TYPES.get(rc["label"])
-        if known is not None:
-            cm_type = CMType.from_exponents(known[0], set(known[1]))
+        exponents = rc.get("cm_type")
+        _require(exponents is None or (isinstance(exponents, list)
+                 and all(isinstance(e, int) for e in exponents)), where,
+                 "cm_type must be a list of integer exponents")
         try:
             curves.append(
                 CMCurveRecord(
@@ -269,7 +260,9 @@ def catalog_load(path=None):
                     f_coeffs=tuple(int(c) for c in rc["f_coeffs"]),
                     field=by_label[rc["field_label"]],
                     provenance=rc["provenance"],
-                    cm_type=cm_type,
+                    # a CM type has one exponent per conjugate pair: g of them
+                    cm_type=None if exponents is None
+                    else CMType.from_exponents(len(exponents), exponents),
                 )
             )
         except DomainError as e:
@@ -281,14 +274,8 @@ def catalog_load(path=None):
 
 def reduce_curve(record, p):
     """The stored model mod p; bad reduction (vanishing leading coefficient,
-    repeated roots, characteristic 2) is refused."""
-    if p == 2:
-        raise BadReductionError(2, "characteristic 2 is excluded")
-    if p < 3 or not is_prime(p):
-        raise DomainError(f"reduce_curve: p = {p} is not prime")
-    if record.f_coeffs[-1] % p == 0:
-        raise BadReductionError(p, "leading coefficient vanishes mod p")
-    return ReducedCurve(p, record.f_coeffs, genus=record.genus)
+    repeated roots, characteristic 2) is refused by ReducedCurve."""
+    return ReducedCurve(p, record.f_coeffs)
 
 
 def _split_auto(field, p):
@@ -345,13 +332,10 @@ def _resolve_target(record, target_type):
 
 def _meets_target(field, target, p, split):
     """Whether the prime p meets a resolved target. split is _split_auto's
-    verdict at p; only integer targets consult it."""
+    verdict at p; a Kronecker target also holds where there is none."""
     if isinstance(target, tuple):
-        if kronecker(field.discriminant, p) != -1:
-            return False
-        if field.conductor is not None and math.gcd(p, field.conductor) == 1:
-            return split_by_residue(field, p).num_primes == 1
-        return True
+        return kronecker(field.discriminant, p) == -1 and (
+            split is None or split.num_primes == 1)
     return split is not None and split.num_primes == target
 
 
@@ -361,10 +345,7 @@ def generation_predicate(record, target_type):
     field = record.field
 
     def check(p):
-        if p < 2 or not is_prime(p):
-            return False
-        split = _split_auto(field, p) if isinstance(target, int) else None
-        return _meets_target(field, target, p, split)
+        return is_prime(p) and _meets_target(field, target, p, _split_auto(field, p))
 
     return check
 
@@ -396,7 +377,8 @@ def generate(record, target_type, bit_size, seed=0):
         raise BadReductionError(
             p, f"no good-reduction prime in {_GENERATE_RETRIES} prime searches"
         )
-    # find_prime chose p by residue class; the split cross-checks it
+    # find_prime chose p by residue class or Kronecker symbol; the split
+    # cross-checks it
     split = _split_auto(record.field, p)
     if not _meets_target(record.field, target, p, split):
         raise InternalInconsistencyError(

@@ -36,48 +36,38 @@ CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
 _EXT_CHUNK = 1 << 18
 
 
+@dataclass(frozen=True)
 class ReducedCurve:
-    """Nonsingular y^2 = f(x) over F_p, p odd, deg f in {2g+1, 2g+2}."""
+    """Nonsingular y^2 = f(x) over F_p, p odd, deg f in {2g+1, 2g+2}. The
+    model is refused when p is 2 or not prime, when the leading coefficient
+    vanishes mod p (the model would drop degree), or when f mod p has no
+    genus or a repeated root."""
 
-    __slots__ = ("p", "coeffs", "genus")
+    p: int
+    coeffs: tuple
 
-    def __init__(self, p, coeffs, genus=None):
+    def __post_init__(self):
+        p = self.p
         if p == 2:
             raise BadReductionError(2, "characteristic 2 is excluded")
         if p < 3 or not is_prime(p):
             raise DomainError(f"ReducedCurve: p = {p} is not an odd prime")
-        f = poly_trim([int(c) % p for c in coeffs])
-        d = len(f) - 1
-        g = (d - 1) // 2 if d % 2 else (d - 2) // 2
-        if genus is not None and genus != g:
-            raise BadReductionError(p, f"degree {d} does not fit genus {genus}")
-        if g < 1:
-            raise DomainError(f"ReducedCurve: degree {d} gives no curve")
+        f = [int(c) % p for c in self.coeffs]
+        if f and f[-1] == 0:
+            raise BadReductionError(p, "leading coefficient vanishes mod p")
+        if len(f) < 4:
+            raise DomainError(f"ReducedCurve: degree {len(f) - 1} gives no curve")
         if len(poly_gcd(f, poly_deriv(f, p), p)) != 1:
             raise BadReductionError(p, "f has a repeated root")
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(f))
-        object.__setattr__(self, "genus", g)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ReducedCurve is immutable")
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReducedCurve)
-            and other.p == self.p
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        return f"ReducedCurve(p={self.p}, genus={self.genus}, f={list(self.coeffs)})"
+    @property
+    def genus(self):
+        return (self.degree - 1) // 2
 
 
 @lru_cache(maxsize=256)

@@ -108,6 +108,8 @@ class CyclicCMField:
 def split_by_residue(field, p):
     """Splitting type from p mod conductor: inertia degree is the order of
     the coset of p in the unit quotient."""
+    if not is_prime(p):
+        raise DomainError(f"split_by_residue: {p} is not prime")
     if field.conductor is None:
         raise MissingDataError(f"{field.label}: conductor unknown")
     f = field.conductor
@@ -165,14 +167,15 @@ def split_by_factorization(field, p):
     return SplittingType(field.two_g // e, e)
 
 
-def find_prime(field, target, bit_size, seed=0, max_attempts=FIND_PRIME_ATTEMPT_CAP):
+def find_prime(field, target, bit_size, seed=0):
     """Prime in [2^n, 2^(n+1)) with the requested splitting behaviour.
 
     target: an integer (number of primes), a SplittingType, or a pair
     ("kronecker", v) asking for kronecker(D, p) = v. Residue targets sample
     within the admissible classes mod the conductor; Kronecker targets use
-    rejection sampling. Deterministic per seed. A window of at most
-    max_attempts candidates fails as soon as every candidate has been drawn.
+    rejection sampling. Deterministic per seed. The search gives up after
+    FIND_PRIME_ATTEMPT_CAP draws, or as soon as every candidate has been
+    drawn when the window holds at most that many.
     """
     if bit_size < 2:
         raise DomainError("find_prime: bit size must be >= 2")
@@ -219,9 +222,9 @@ def find_prime(field, target, bit_size, seed=0, max_attempts=FIND_PRIME_ATTEMPT_
     else:
         raise DomainError(f"find_prime: unsupported target {target!r}")
     # rejects are remembered only when they can exhaust the window
-    exhaustible = window <= max_attempts
+    exhaustible = window <= FIND_PRIME_ATTEMPT_CAP
     rejected = set()
-    for _ in range(max_attempts):
+    for _ in range(FIND_PRIME_ATTEMPT_CAP):
         p = draw()
         if p is None or p in rejected:
             continue
@@ -234,4 +237,4 @@ def find_prime(field, target, bit_size, seed=0, max_attempts=FIND_PRIME_ATTEMPT_
                     f"{field.label}: no prime {wanted}; every candidate in"
                     f" [2^{bit_size}, 2^{bit_size + 1}) was drawn"
                 )
-    raise PrimeSearchTimeout(f"no prime {wanted} in {max_attempts} attempts")
+    raise PrimeSearchTimeout(f"no prime {wanted} in {FIND_PRIME_ATTEMPT_CAP} attempts")

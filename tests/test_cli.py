@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from cmreduce import InternalInconsistencyError, catalog_load, invariants
 from cmreduce.cli import main
+from cmreduce.ff_arith import is_prime
+
+P128 = str((1 << 128) + 51)  # inert in the quartic field
 
 
 def run(capsys, *argv):
@@ -92,9 +96,12 @@ def test_split_ramified_is_domain_error(capsys):
 
 
 def test_split_non_prime(capsys):
-    code, _, err = run(capsys, "split", "--field", "cyclotomic-5", "--p", "21")
-    assert code == 3
-    assert "not prime" in err
+    # each route refuses p itself
+    for method in ("residue", "factor", "stickelberger", "auto"):
+        code, _, err = run(capsys, "split", "--field", "cyclotomic-5", "--p", "21",
+                           "--method", method)
+        assert code == 3, method
+        assert "21 is not prime" in err, method
 
 
 def test_invariants_json(capsys):
@@ -130,6 +137,34 @@ def test_invariants_counts_points_once(capsys, monkeypatch):
     assert code == 0
     assert sorted(calls) == [1, 2, 3]
     assert doc["result"]["l_polynomial"] == [1, 0, 0, 0, 0, 0, 205379]
+
+
+@pytest.mark.parametrize("argv, proofs", [
+    pytest.param(["invariants", "--curve", "weng-g3", "--p", "59"], 1, id="invariants"),
+    # the reduced curve, then the split
+    pytest.param(["verify", "--curve", "weng-g3", "--p", "59"], 2, id="verify"),
+    *[pytest.param(["split", "--field", "quartic-5-65-845", "--p", P128, "--method", m],
+                   1, id=f"split-{m}")
+      for m in ("residue", "factor", "stickelberger", "auto")],
+    # find_prime, the reduced curve, and the split that cross-checks the search
+    *[pytest.param(["generate", "--curve", c, "--type", t, "--bits", "128"], 3,
+                   id=f"generate-{t}")
+      for c, t in (("weng-g3", "ordinary"), ("wamelen-c1", "ssing-non-sspec"))],
+])
+def test_each_entry_proves_its_prime_once(capsys, monkeypatch, argv, proofs):
+    calls = Counter()
+
+    def counted(n):
+        calls[n] += 1
+        return is_prime(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmreduce") and getattr(module, "is_prime", None) is is_prime:
+            monkeypatch.setattr(module, "is_prime", counted)
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    p = int(argv[argv.index("--p") + 1]) if "--p" in argv else doc["result"]["p"]
+    assert 1 <= calls[p] <= proofs
 
 
 def test_invariants_bad_reduction_exit(capsys):
@@ -250,10 +285,10 @@ def test_catalog_env_variable(capsys, tmp_path, monkeypatch):
     assert code == 3 and "weng-g3" in err
 
 
-def test_console_script_runs():
+def test_console_script_runs(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "cmreduce.cli", "count-types", "--g", "3"],
-        capture_output=True, text=True,
+        env=src_env, capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "2 classes" in proc.stdout

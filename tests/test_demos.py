@@ -1,16 +1,12 @@
 """Smoke test: every demo script runs to completion against the package."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import cmreduce
-
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
-SRC = str(Path(cmreduce.__file__).resolve().parent.parent)
 
 
 def test_all_demos_found():
@@ -23,11 +19,10 @@ def test_all_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
-def test_demo_runs(demo):
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+def test_demo_runs(demo, src_env):
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], env=src_env, capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

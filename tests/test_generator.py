@@ -103,10 +103,28 @@ def test_catalog_load_rejects_malformed(tmp_path, catalog):
         load_variant(lambda d: d["fields"][0].update(two_g=3))
     with pytest.raises(CatalogError):
         load_variant(lambda d: d["curves"][0].update(field_label="missing"))
+    for bad_type in ("01", [0, "1"], [0, 2], [0, 1, 2], []):
+        with pytest.raises(CatalogError, match=r"curves\[0\]"):
+            load_variant(lambda d: d["curves"][0].update(cm_type=bad_type))
     # the unmutated dump still loads
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(good))
     assert catalog_load(path).curve_labels() == catalog.curve_labels()
+
+
+def test_cm_types_come_from_the_catalog_file(tmp_path, catalog):
+    # a user's genus-2 curve named weng-g3 gets no CM type from the shipped one
+    data = json.loads(catalog.dump())
+    data["curves"] = [c for c in data["curves"] if c["label"] != "weng-g3"]
+    data["curves"][0].update(label="weng-g3")
+    data["curves"][0].pop("cm_type")
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(data))
+    user = catalog_load(path)
+    rec = user.record("weng-g3")
+    assert (rec.genus, rec.cm_type) == (2, None)
+    assert "cm_type" not in user.to_data()["curves"][0]
+    assert user.record("cyclo-5").cm_type.exponents == frozenset({0, 1})
 
 
 def test_record_validation(catalog):

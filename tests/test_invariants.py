@@ -35,6 +35,7 @@ from cmreduce.ff_arith import is_prime
 
 WENG = [0, 7, 0, 14, 0, 7, 0, 1]  # x^7 + 7x^5 + 14x^3 + 7x
 CYCLO5 = [-1, 0, 0, 0, 0, 1]  # x^5 - 1
+WAMELEN_C1 = [-552, -748, -8800, -4760, 6160, 1936, -1331]
 
 
 def test_reduced_curve_construction():
@@ -55,8 +56,8 @@ def test_reduced_curve_rejects_bad_input():
         ReducedCurve(5, CYCLO5)  # (x - 1)^5 mod 5
     with pytest.raises(BadReductionError):
         ReducedCurve(7, WENG)  # repeated roots mod 7
-    with pytest.raises(BadReductionError):
-        ReducedCurve(3, CYCLO5, genus=3)  # genus does not fit the degree
+    with pytest.raises(BadReductionError, match="leading coefficient"):
+        ReducedCurve(11, WAMELEN_C1)  # -1331 = 0 mod 11 would leave a cubic
     with pytest.raises(BadReductionError):
         ReducedCurve(3, [1, 0, 0, 1])  # x^3 + 1 = (x + 1)^3 mod 3
 

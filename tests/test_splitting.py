@@ -108,6 +108,8 @@ def test_split_by_residue_quartic():
 
 
 def test_split_by_residue_errors():
+    with pytest.raises(DomainError, match="21 is not prime"):
+        split_by_residue(QUARTIC, 21)  # 21 is a unit mod 65
     with pytest.raises(RamifiedPrimeError):
         split_by_residue(QUARTIC, 5)
     with pytest.raises(RamifiedPrimeError):
@@ -261,7 +263,8 @@ def test_find_prime_rejects_bad_arguments():
         find_prime(SEXTIC, 1, 32)  # residue targets need conductor data
 
 
-def test_find_prime_exhausts_attempts():
-    with pytest.raises(PrimeSearchTimeout):
-        # attempts too few to ever hit a prime of this size reliably
-        find_prime(QUARTIC, 1, 128, max_attempts=1)
+def test_find_prime_exhausts_attempts(monkeypatch):
+    # attempts too few to ever hit a prime of this size reliably
+    monkeypatch.setattr(splitting, "FIND_PRIME_ATTEMPT_CAP", 1)
+    with pytest.raises(PrimeSearchTimeout, match="in 1 attempts"):
+        find_prime(QUARTIC, 1, 128)
