@@ -10,6 +10,7 @@ to the p-torsion label for genus up to 3.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -27,13 +28,14 @@ from .ff_arith import (
     poly_divmod,
     poly_gcd,
     poly_pow_coeffs,
+    poly_powmod,
     poly_trim,
 )
 
 POINT_COUNT_BUDGET = 1 << 26  # largest field enumerated exhaustively
 SLOPE_BUDGET = 1 << 21  # largest p^g for which slopes are computed
 CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
-_EXT_CHUNK = 1 << 18
+_EXT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,15 @@ def _ext_mul_step(acc, d, c, red, p, k):
 def point_count(curve, k=1):
     """#C(F_{p^k}) by exhaustive enumeration, including points at infinity.
 
-    F_{p^k} is F_p[x] modulo find_irreducible(p, k), its elements vectors of
-    k base-p digits; at k = 1 the modulus is x and nothing is reduced.
+    F_{p^k} is F_p[z] modulo find_irreducible(p, k); at k = 1 the modulus is
+    z and nothing is reduced. Because f has F_p coefficients, f(x^p) = f(x)^p,
+    so whether f(x) is zero or a square is constant on each Frobenius orbit.
+    The count therefore evaluates f once per orbit: elements are enumerated
+    as base-p digit vectors over a normal basis theta, theta^p, ...,
+    theta^(p^(k-1)), in which Frobenius rotates the digits, and an element
+    is kept when its encoding is the least among its rotations, weighted by
+    its orbit size. The quadratic character of y = f(x) over F_{p^k} is that
+    of its norm y * y^p * ... * y^(p^(k-1)) over F_p.
     """
     p, coeffs = curve.p, curve.coeffs
     if k < 1:
@@ -145,38 +154,67 @@ def point_count(curve, k=1):
             f"point_count: field size {p}^{k} exceeds {POINT_COUNT_BUDGET}"
         )
     modulus = find_irreducible(p, k)
-    # x^m mod the modulus for m = k .. 2k-2, little-endian
+    # z^m mod the modulus for m = k .. 2k-2, little-endian
     red = [poly_divmod([0] * m + [1], modulus, p)[1] for m in range(k, 2 * k - 1)]
-    weights = np.array([p**i for i in range(k)], dtype=np.int64)
+    # Frobenius on the polynomial basis: column j is z^(jp) mod the modulus
+    frob = np.zeros((k, k), dtype=np.int64)
+    for j in range(k):
+        col = poly_powmod([0, 1], j * p, modulus, p)
+        frob[: len(col), j] = col
 
     def digits(ns):
         d = np.empty((k, ns.size), dtype=np.int64)
-        t = ns.copy()
-        for i in range(k):
-            d[i] = t % p
-            t //= p
+        for i in range(k - 1):
+            d[i] = ns % p
+            ns = ns // p
+        d[k - 1] = ns
         return d
 
-    squares = np.zeros(q, dtype=np.bool_)
-    for start in range(0, q, _EXT_CHUNK):
-        ns = np.arange(start, min(start + _EXT_CHUNK, q), dtype=np.int64)
-        d = digits(ns)
-        squares[weights @ _ext_mul_step(d, d, 0, red, p, k)] = True
+    # the normal basis: the first theta in encoding order whose conjugates
+    # theta, F theta, ..., F^(k-1) theta are independent; elements of F_p are
+    # their own conjugates, so at k > 1 the search starts at z
+    for n in count(1 if k == 1 else p):
+        basis = [digits(np.array([n]))]
+        for _ in range(k - 1):
+            basis.append(frob @ basis[-1] % p)
+        basis = np.hstack(basis)
+        if matrix_rank(basis.tolist(), p) == k:
+            break
+    # the nonzero squares mod p
+    square = np.zeros(p, dtype=np.bool_)
+    for start in range(1, p // 2 + 1, _EXT_CHUNK):
+        x = np.arange(start, min(start + _EXT_CHUNK, p // 2 + 1), dtype=np.int64)
+        square[x * x % p] = True
+    top = p ** (k - 1)
     total = 0
     for start in range(0, q, _EXT_CHUNK):
         ns = np.arange(start, min(start + _EXT_CHUNK, q), dtype=np.int64)
-        d = digits(ns)
-        acc = np.zeros((k, ns.size), dtype=np.int64)
-        acc[0] = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = _ext_mul_step(acc, d, c, red, p, k)
-        enc = weights @ acc
-        zero = enc == 0
-        total += int(np.count_nonzero(zero))
-        total += 2 * int(np.count_nonzero(squares[enc] & ~zero))
+        # n is kept when none of its rotations is smaller; k / (the number of
+        # rotations fixing n) is the size of its orbit
+        keep = np.ones(ns.size, dtype=np.bool_)
+        fixed = np.ones(ns.size, dtype=np.int8)
+        r = ns
+        for _ in range(k - 1):
+            r = r // p + r % p * top
+            keep &= ns <= r
+            fixed += r == ns
+        x = basis @ digits(ns[keep]) % p
+        # Horner, its first step lc * x + c_{d-1} needing no reduction rows
+        acc = x * coeffs[-1]
+        acc[0] += coeffs[-2]
+        acc %= p
+        for c in reversed(coeffs[:-2]):
+            acc = _ext_mul_step(acc, x, c, red, p, k)
+        norm, conj = acc, acc
+        for _ in range(k - 1):
+            conj = frob @ conj % p
+            norm = _ext_mul_step(norm, conj, 0, red, p, k)
+        zero = ~acc.any(axis=0)
+        total += int((k // fixed[keep]) @ (zero + 2 * square[norm[0]]))
     if curve.degree % 2:
         return total + 1
-    return total + (2 if squares[coeffs[-1]] else 0)
+    # every element of F_p is a square in F_{p^k} for even k
+    return total + (2 if k % 2 == 0 or square[coeffs[-1]] else 0)
 
 
 def l_polynomial(curve):

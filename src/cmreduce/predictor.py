@@ -3,11 +3,9 @@
 The g = 1 rule is Deuring's, g = 2 is Goren's, and the sextic and
 general-degree rules cover cyclic fields with primitive CM type and principal
 p. Alongside the predictors sit the symbolic tools their proofs run on:
-type-norm ideal exponents, the product-of-supersingular-curves test, and the
-small-endomorphism degree bounds.
+type-norm ideal exponents and the small-endomorphism degree bounds.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,32 +155,6 @@ def type_norm_orbit(phi, num_primes):
     for s in refl:
         counts[s % num_primes] += 1
     return TypeNormOrbit(tuple(counts))
-
-
-def ekedahl_check(phi, frobenius_exponent):
-    """True when sigma applied to the conjugate type returns the type itself,
-    i.e. the reduction is a product of supersingular elliptic curves."""
-    n = 2 * phi.g
-    shifted = {(s + phi.g + frobenius_exponent) % n for s in phi.exponents}
-    return shifted == set(phi.exponents)
-
-
-def frobenius_candidates(g, num_primes):
-    """Exponents t with tau^t generating the decomposition group when p has
-    the given number of primes: gcd(t, 2g) = num_primes."""
-    n = 2 * g
-    if num_primes < 1 or n % num_primes:
-        raise DomainError(f"frobenius_candidates: {num_primes} does not divide {n}")
-    return [t for t in range(1, n + 1) if math.gcd(t, n) == num_primes]
-
-
-def ekedahl_verdict(phi, num_primes):
-    """Unanimous ekedahl_check over all Frobenius candidates; None if the
-    candidates disagree."""
-    votes = {ekedahl_check(phi, t) for t in frobenius_candidates(phi.g, num_primes)}
-    if len(votes) > 1:
-        return None
-    return votes.pop()
 
 
 def rm_endo_degree(d):

@@ -7,10 +7,11 @@ fields, and L-polynomials against both frozen worked values and forward
 prediction of counts the construction never consumed. Random squarefree
 curves drawn by hypothesis check the Cartier-Manin recurrence against the
 definition, the p-rank against the zero slopes, and point counts over F_p
-and F_{p^2} against brute force.
+and F_{p^k}, k <= 4, against brute force.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -31,7 +32,7 @@ from cmreduce import (
     point_count,
     reduction_profile,
 )
-from cmreduce.ff_arith import is_prime
+from cmreduce.ff_arith import is_prime, poly_divmod
 
 WENG = [0, 7, 0, 14, 0, 7, 0, 1]  # x^7 + 7x^5 + 14x^3 + 7x
 CYCLO5 = [-1, 0, 0, 0, 0, 1]  # x^5 - 1
@@ -263,7 +264,7 @@ def brute_count(coeffs, p, k=1, modulus=None):
 def test_point_count_prime_field():
     assert point_count(ReducedCurve(3, CYCLO5)) == 4
     # Deuring: y^2 = x^3 - 1 is supersingular at p = 2 mod 3, so #E = p + 1;
-    # p = 262151 spans two 2^18-element chunks
+    # p = 262151 spans five 2^16-element chunks
     assert point_count(ReducedCurve(262151, [-1, 0, 0, 1])) == 262152
     for p, coeffs in [(3, CYCLO5), (13, WENG), (3, [0, 1, 0, 1]),
                       (3, [1, 1, 0, 0, 0, 0, 2]), (11, [1, 1, 0, 0, 0, 1])]:
@@ -276,13 +277,39 @@ def quadratic_modulus(p):
     return [p - n, 0, 1]
 
 
+def irreducible_modulus(p, k):
+    """The least monic degree-k f over F_p with no monic factor of degree
+    1 .. k/2, little-endian."""
+    def monic(d):
+        return ([*c, 1] for c in product(range(p), repeat=d))
+    return next(f for f in monic(k)
+                if all(any(poly_divmod(f, g, p)[1])
+                       for d in range(1, k // 2 + 1) for g in monic(d)))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
+@example(ReducedCurve(3, [1, 1, 0, 0, 0, 0, 2]))  # k = 4: orbits of size 1, 2 and 4
+@example(ReducedCurve(5, [0, 2, 1, 0, 3, 1]))  # k = 4, odd degree
+@example(ReducedCurve(11, WENG))  # k = 3
 @given(small_curves())
 def test_point_count_matches_brute_force(curve):
     p, f = curve.p, list(curve.coeffs)
     assert point_count(curve) == brute_count(f, p)
     if p * p <= 2000:
         assert point_count(curve, 2) == brute_count(f, p, 2, quadratic_modulus(p))
+    for k in (3, 4):
+        if p**k <= 2000:
+            assert point_count(curve, k) == brute_count(f, p, k, irreducible_modulus(p, k))
+
+
+@pytest.mark.parametrize("label, p, k, want", [
+    ("weng-g3", 113, 3, 1444956),
+    ("cyclo-7", 97, 3, 912674),
+    ("wamelen-c1", 1447, 2, 2093810),
+])
+def test_point_count_frozen_multi_chunk(catalog, label, p, k, want):
+    # each field spans several chunks of the enumeration
+    assert point_count(ReducedCurve(p, catalog.record(label).f_coeffs), k) == want
 
 
 def test_point_count_extension_fields():
@@ -302,6 +329,12 @@ def test_point_count_even_degree_infinity():
     # and 1 is a square: two points at infinity
     c2 = ReducedCurve(3, [2, 1, 0, 0, 0, 0, 1])
     assert point_count(c2) == brute_count([2, 1, 0, 0, 0, 0, 1], 3)
+    # 2 stays a non-square in F_27 and becomes a square in F_9
+    p, k, m = F27
+    assert point_count(c, k) == brute_count([1, 1, 0, 0, 0, 0, 2], p, k, m)
+    assert point_count(c2, k) == brute_count([2, 1, 0, 0, 0, 0, 1], p, k, m)
+    p, k, m = F9
+    assert point_count(c, k) == brute_count([1, 1, 0, 0, 0, 0, 2], p, k, m)
 
 
 def test_point_count_budget():

@@ -1,5 +1,5 @@
 """Reduction-type predictions from splitting data, and the combinatorial
-checks (type norm orbits, conjugate-shift test) that drive the proofs."""
+checks (type norm orbits, endomorphism degree bounds) that drive the proofs."""
 
 import pytest
 
@@ -9,9 +9,6 @@ from cmreduce import (
     RamifiedPrimeError,
     SplittingType,
     enumerate_classes,
-    ekedahl_check,
-    ekedahl_verdict,
-    frobenius_candidates,
     m_small_compose,
     predict_for_genus,
     predict_g1,
@@ -134,48 +131,6 @@ def test_type_norm_orbit_split_case_support():
                 continue
             counts = type_norm_orbit(cls.representative, 2 * g).exponents
             assert sorted(counts) == [0] * g + [1] * g
-
-
-def test_ekedahl_check_shifts():
-    assert ekedahl_check(PHI3, 3)  # tau^3 sends the conjugate back
-    assert not ekedahl_check(PHI3, 2)
-    assert not ekedahl_check(PHI3, 1)
-
-
-def test_ekedahl_check_at_exponent_g_is_trivial():
-    for g in (1, 2, 3, 4, 5):
-        for cls in enumerate_classes(g):
-            assert ekedahl_check(cls.representative, g)
-
-
-def test_frobenius_candidates():
-    assert frobenius_candidates(3, 3) == [3]
-    assert frobenius_candidates(3, 1) == [1, 5]
-    assert frobenius_candidates(3, 2) == [2, 4]
-    assert frobenius_candidates(3, 6) == [6]
-    assert frobenius_candidates(2, 2) == [2]
-    with pytest.raises(DomainError):
-        frobenius_candidates(3, 4)
-
-
-def test_ekedahl_verdict():
-    assert ekedahl_verdict(PHI3, 3) is True
-    assert ekedahl_verdict(PHI3, 1) is False
-    assert ekedahl_verdict(PHI3, 2) is False
-    # the lifted alternating type is fixed by every even shift
-    lifted = CMType.from_exponents(3, {0, 2, 4})
-    assert ekedahl_verdict(lifted, 1) is True
-
-
-def test_ekedahl_verdict_consistent_with_candidates():
-    for g in (2, 3, 4):
-        n = 2 * g
-        for cls in enumerate_classes(g):
-            phi = cls.representative
-            for ell in [d for d in range(1, n + 1) if n % d == 0]:
-                votes = {ekedahl_check(phi, t) for t in frobenius_candidates(g, ell)}
-                want = votes.pop() if len(votes) == 1 else None
-                assert ekedahl_verdict(phi, ell) == want
 
 
 def test_rm_endo_degree():
