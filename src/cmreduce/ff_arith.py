@@ -3,20 +3,21 @@
 Arbitrary-precision number theory (primality, Kronecker symbol), trial
 division of small integers (factorize), dense polynomials over F_p
 (multiplication, division, gcd, distinct-degree factoring, irreducible
-moduli, single coefficients of a power), and the rank of a matrix over F_p.
+moduli, coefficients of f^((p-1)/2)), and the rank of a matrix over F_p.
 Elements of F_p are plain ints, matrices are sequences of integer rows, and
 polynomials are dense little-endian coefficient lists: index = exponent, no
 trailing zeros above the degree.
 
-poly_pow_coeffs loops once per coefficient up to the highest one asked for,
-and factorize once per trial divisor up to sqrt(n), so their callers bound
-those; the pure residue arithmetic here (is_prime, kronecker, powmod-based
-factoring) takes arbitrary-precision input.
+half_power_coeffs loops once per coefficient up to the highest one asked for
+and keeps each, and factorize loops up to sqrt(n), so their callers bound
+those; the pure residue arithmetic here takes arbitrary-precision input.
 """
 
 import random
-from itertools import accumulate
+from array import array
 from math import gcd
+
+import numpy as np
 
 from .errors import DomainError, NotSquarefreeError
 
@@ -26,6 +27,8 @@ _MR_DET_BOUND = 3317044064679887385961981
 _MR_EXTRA_ROUNDS = 64  # error < 4**-64 = 2**-128 for larger n
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+_BLOCK = 4096  # recurrence steps between writes to the coefficient array
 
 
 def _mr_witness(a, d, s, n):
@@ -143,48 +146,53 @@ def poly_mul(f, g, p):
     ]
 
 
-def _inverses(xs, q):
-    """Inverses of the units xs mod q for the price of one modular inversion."""
-    prefix = list(accumulate(xs, lambda a, b: a * b % q, initial=1))
-    t = pow(prefix[-1], -1, q)
-    out = [0] * len(xs)
-    for j in range(len(xs) - 1, -1, -1):
-        out[j], t = prefix[j] * t % q, t * xs[j] % q
-    return out
+def half_power_coeffs(f, p, wanted):
+    """{m: x^m coefficient of f**e over F_p, e = (p-1)/2} for m in wanted.
 
-
-def poly_pow_coeffs(f, e, p, wanted):
-    """{m: x^m coefficient of f**e over F_p} for m in wanted, by a coefficient
-    recurrence that never expands f**e and keeps only its last deg f terms.
-
-    With f = x^v F and F(0) a unit, H = F**e obeys F H' = e F' H, so over the
-    integers k F_0 H_k = sum_{i>=1} ((e+1) i - k) F_i H_{k-i}. The loop runs
-    mod p^N: each factor of p in k is divided out of the sum exactly and costs
-    one p-adic digit, so N = 1 + v_p(top!) keeps H_top exact mod p.
+    With f = x^v G(x^s), G(0) a unit and s the gcd of the exponents of f / x^v,
+    f**e = x^(ev) H(x^s) for H = G**e, and G H' = e G' H gives k G_0 H_k =
+    sum_{i>=1} ((e+1) i - k) G_i H_{k-i}, which fixes H_k mod p when p does not
+    divide k. At k = jp, H^2 G = G^p = G(y^p) over F_p does: the y^k coefficient
+    of H^2 G is G_j. H up to the highest index asked for is an int32 array, and
+    so is the table of inverses mod p of 1, 2, ... up to that index.
     """
     f = [c % p for c in f]
     v = next((i for i, c in enumerate(f) if c), None)
-    if v is None or e < 0:
-        raise DomainError("poly_pow_coeffs: zero polynomial or negative exponent")
-    need = {m - e * v: 0 for m in wanted if m >= e * v}
-    top = max(need, default=0)
-    digits = 1 + sum(top // p**j for j in range(1, max(top, 1).bit_length()))  # Legendre
-    q, f0 = p**digits, f[v]
-    terms = [(i, (e + 1) * i * c, c) for i, c in enumerate(f[v + 1 :], 1) if c]
-    h = [0] * len(f) + [pow(f0, e, q)]  # zero-padded so that h[-i] is H_{k-i}
-    need[0] = h[-1] % p
-    for start in range(1, top + 1, 512):
-        del h[: -len(f)]
-        ks = range(start, min(start + 512, top + 1))
-        units = [k if k % p else k // gcd(k, q) for k in ks]  # p-free parts
-        for k, u, w in zip(ks, units, _inverses([u * f0 for u in units], q)):
-            s = 0
-            for i, a, c in terms:
-                s += (a - k * c) * h[-i]
-            h.append(s % q // (k // u) * w % q)
-            if k in need:
-                need[k] = h[-1] % p
-    return {m: need.get(m - e * v, 0) for m in wanted}
+    if v is None:
+        raise DomainError("half_power_coeffs: zero polynomial")
+    e, s = (p - 1) // 2, gcd(*(i for i, c in enumerate(f[v:]) if c)) or 1
+    g = poly_trim(f[v::s])
+    ks = {m: (m - e * v) // s for m in wanted if m >= e * v and (m - e * v) % s == 0}
+    top = min(max(ks.values(), default=0), e * (len(g) - 1))  # deg H = e deg G
+    h = np.zeros(top + 1, dtype=np.int32)
+    inv = array("i", [0, 1])  # inv[r] = 1 / r mod p, from p = (p // r) r + p % r
+    for r in range(2, min(p, top + 1)):
+        inv.append(-(p // r) * inv[p % r] % p)
+    u = pow(g[0], -1, p)  # run on G / G_0, so that step k divides by k alone
+    terms = [(i, (e + 1) * i * c * u % p, c * u % p) for i, c in enumerate(g[1:], 1) if c]
+    n = min(1 << 16, (2**63 - 1) // (p - 1) ** 2)  # int64 products per dot
+    last = [0] * len(g)  # last[-i] = H_{k-i}
+    for base in range(0, top + 1, p):
+        hk = pow(g[0], e, p)
+        if base:  # t = [H^2 G]_k - G_j at k = jp, with H_k = 0 so far and H_0 = hk
+            t, rev = -(g[base // p] if base // p < len(g) else 0), h[base::-1]
+            for i, c in enumerate(g[: base + 1]):
+                for a in range(0, base - i + 1, n):
+                    y = rev[i + a : i + a + n].astype(np.int64)
+                    t += c * int(h[a : a + y.size].astype(np.int64) @ y)
+            hk = -t * pow(2 * hk * g[0], -1, p) % p
+        h[base] = hk
+        last.append(hk)
+        for lo in range(1, min(p, top - base + 1), _BLOCK):
+            hi = min(lo + _BLOCK, p, top - base + 1)
+            for r, w in zip(range(lo, hi), inv[lo:hi]):
+                t = 0
+                for i, a, c in terms:
+                    t += (a - r * c) * last[-i]
+                last.append(t % p * w % p)
+            h[base + lo : base + hi] = last[lo - hi :]
+            del last[: -len(g)]
+    return {m: int(h[ks[m]]) if ks.get(m, top + 1) <= top else 0 for m in wanted}
 
 
 def poly_divmod(f, g, p):

@@ -15,6 +15,7 @@ from cmreduce.ff_arith import (
     factor_degree_profile,
     factorize,
     find_irreducible,
+    half_power_coeffs,
     is_prime,
     kronecker,
     matrix_rank,
@@ -22,7 +23,6 @@ from cmreduce.ff_arith import (
     poly_divmod,
     poly_gcd,
     poly_mul,
-    poly_pow_coeffs,
     poly_powmod,
     poly_trim,
 )
@@ -143,35 +143,43 @@ def test_poly_mul_crosses_kronecker_cutoff():
     assert poly_mul(f, g, p) == naive_mul(f, g, p)
 
 
-def test_poly_pow_coeffs_small_cases():
-    p = 13
-    assert poly_pow_coeffs([1, 1], 0, p, [0, 1]) == {0: 1, 1: 0}
-    assert poly_pow_coeffs([1, 1], 2, p, [2, 0, 1, 3]) == {0: 1, 1: 2, 2: 1, 3: 0}
-    # freshman's dream: (x + 1)^13 = x^13 + 1 mod 13
-    want = dict.fromkeys(range(15), 0) | {0: 1, 13: 1}
-    assert poly_pow_coeffs([1, 1], 13, p, range(15)) == want
+def test_half_power_coeffs_small_cases():
+    # (x + 1)^6 at p = 13: binomials mod 13; past the degree reads 0
+    assert half_power_coeffs([1, 1], 13, range(9)) == dict(enumerate([1, 6, 2, 7, 2, 6, 1, 0, 0]))
     # a factor x^v shifts the power; indices below it, or negative, read 0
-    assert poly_pow_coeffs([0, 1, 1], 2, p, [-1, 1, 3, 4]) == {-1: 0, 1: 0, 3: 2, 4: 1}
-    assert poly_pow_coeffs([0, 1], 9, p, [3, 9]) == {3: 0, 9: 1}
-    with pytest.raises(DomainError):
-        poly_pow_coeffs([0], 3, 5, [1])
-    with pytest.raises(DomainError):
-        poly_pow_coeffs([1, 1], -1, 5, [0])
+    assert half_power_coeffs([0, 1, 1], 5, [-1, 1, 2, 3, 4, 5]) == {
+        -1: 0, 1: 0, 2: 1, 3: 2, 4: 1, 5: 0}
+    # (1 + x^2)^3 at p = 7 lives on even exponents only
+    assert half_power_coeffs([1, 0, 1], 7, range(9)) == dict(enumerate([1, 0, 3, 0, 3, 0, 1, 0, 0]))
+    # at p = 3 the power is f itself; degree 9 pins H_3, H_6 and H_9
+    f = [1, 2, 0, 1, 1, 2, 2, 0, 1, 2]
+    assert half_power_coeffs(f, 3, range(-2, 12)) == {m: (f + [0, 0])[m] if m >= 0 else 0
+                                                      for m in range(-2, 12)}
+    for zero in ([0], [0, 0], [3, 6]):
+        with pytest.raises(DomainError):
+            half_power_coeffs(zero, 3, [1])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 31])
-def test_poly_pow_coeffs_matches_expansion(p):
-    # exponents past p put factors of p into the recurrence's divisors
+def test_half_power_coeffs_matches_expansion(p):
+    # f = x^v G(x^s); at degrees of G from 3 up, H_k at k = p, 2p, ... are pinned
     rng = random.Random(p)
+    e = (p - 1) // 2
     for _ in range(20):
-        f = [rng.randrange(p) for _ in range(rng.randrange(1, 7))] + [rng.randrange(1, p)]
-        e = rng.randrange(0, 3 * p)
+        s = rng.choice([1, 2, 3, 5])
+        g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randrange(0, 17 // s))]
+        g[-1] = g[-1] or 1
+        f = [0] * rng.randrange(0, 3)
+        for c in g:
+            f += [c] + [0] * (s - 1)
+        f = [c + p * rng.randrange(-2, 3) for c in f[: len(f) - s + 1]]  # unreduced
         full = [1]
         for _ in range(e):
             full = naive_mul(full, f, p)
-        wanted = rng.sample(range(len(full) + 3), min(len(full), 8))
-        got = poly_pow_coeffs(f, e, p, wanted)
-        assert got == {m: (full + [0] * 3)[m] for m in wanted}, (f, e)
+        # negative, below e v, off-stride and past-the-degree indices included
+        wanted = range(-3, len(full) + 2 * s)
+        got = half_power_coeffs(f, p, wanted)
+        assert got == {m: (full[m] if 0 <= m < len(full) else 0) for m in wanted}, (f, p)
 
 
 def test_poly_divmod_identity():

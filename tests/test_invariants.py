@@ -147,6 +147,17 @@ def test_worked_p_rank_a_number():
     assert (p_rank(g1), a_number(g1)) == (0, 1)
 
 
+@pytest.mark.parametrize("p, coeffs, want", [
+    (12853, WENG, ((8881, 0, 11824), (0, 9079, 0), (0, 0, 7852))),
+    (12853, [-1, 0, 0, 0, 0, 0, 0, 1], ((5640, 0, 0), (0, 8329, 0), (0, 0, 11099))),
+    (12853, WAMELEN_C1, ((113, 10475), (3524, 12740))),
+    (13309, WENG, ((6038, 0, 7271), (0, 0, 0), (6038, 0, 7271))),
+])
+def test_cartier_manin_frozen_large_p(p, coeffs, want):
+    # f = x^v G(x^s): weng-g3 (s = 2) and wamelen-c1 (s = 1) pin H_p, x^7 - 1 needs no pin
+    assert cartier_manin(ReducedCurve(p, coeffs))[0] == want
+
+
 def test_cartier_manin_caps_degree(monkeypatch):
     # y^2 = x^257 - 1 at p = 2^20 - 3 would need 257 * (p - 1)/2 + 1 > 2^26
     # coefficients of f^((p-1)/2): refused before any work
