@@ -2,11 +2,17 @@
 
 Arbitrary-precision number theory (primality, Kronecker symbol), trial
 division of small integers (factorize), dense polynomials over F_p
-(multiplication, division, gcd, distinct-degree factoring, irreducible
-moduli, coefficients of f^((p-1)/2)), and the rank of a matrix over F_p.
-Elements of F_p are plain ints, matrices are sequences of integer rows, and
-polynomials are dense little-endian coefficient lists: index = exponent, no
-trailing zeros above the degree.
+(multiplication, division, gcd, powers of x modulo a monic polynomial,
+distinct-degree factoring, irreducible moduli, coefficients of
+f^((p-1)/2)), and the rank of a matrix over F_p. Elements of F_p are plain
+ints, matrices are sequences of integer rows, and polynomials are dense
+little-endian coefficient lists: index = exponent, no trailing zeros above
+the degree.
+
+is_prime keeps the Miller-Rabin verdict for the last n it ran on, so the
+public entries of one command, each checking its own p, pay for one proof.
+factor_degree_profile raises x to the p-th power once and gets every later
+x^(p^k) by composition.
 
 half_power_coeffs loops once per coefficient up to the highest one asked for
 and keeps each, and factorize loops up to sqrt(n), so their callers bound
@@ -15,6 +21,7 @@ those; the pure residue arithmetic here takes arbitrary-precision input.
 
 import random
 from array import array
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -51,6 +58,12 @@ def is_prime(n):
             return True
         if n % q == 0:
             return False
+    return _miller_rabin(n)
+
+
+@lru_cache(maxsize=1)
+def _miller_rabin(n):
+    # one entry: a command proves its own p at each public entry, back to back
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -226,17 +239,31 @@ def poly_gcd(f, g, p):
     return a
 
 
-def poly_powmod(f, e, m, p):
-    """f**e mod m over F_p by square and multiply."""
-    acc = [1]
-    base = poly_divmod(f, m, p)[1]
-    while e:
-        if e & 1:
-            acc = poly_divmod(poly_mul(acc, base, p), m, p)[1]
-        e >>= 1
-        if e:
-            base = poly_divmod(poly_mul(base, base, p), m, p)[1]
-    return acc
+def _mulmod(a, b, m, p):
+    """a * b mod monic m over F_p, with one % per quotient digit and one per
+    output coefficient; the sums in between are plain ints."""
+    d = len(m) - 1
+    r = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                r[i + j] += x * y
+    for i in range(len(r) - 1, d - 1, -1):  # m[d] = 1 clears r[i]
+        c = r[i] % p
+        if c:
+            for j in range(d):
+                r[i - d + j] -= c * m[j]
+    return poly_trim([c % p for c in r[:d]] or [0])
+
+
+def poly_xpow(e, m, p):
+    """x**e mod monic m over F_p, deg m >= 1, by square and shift."""
+    h = [1]
+    for bit in bin(e)[2:]:
+        h = _mulmod(h, h, m, p)
+        if bit == "1":
+            h = _mulmod(h, [0, 1], m, p)
+    return h
 
 
 def poly_deriv(f, p):
@@ -249,6 +276,8 @@ def factor_degree_profile(f, p):
     Distinct-degree factorization only; the factors themselves are never
     constructed. Raises NotSquarefreeError when f has a repeated factor mod p,
     which callers must treat as ramified-or-index-divisor and exclude.
+    x^p mod f is taken once; since h(x)^p = h(x^p) over F_p, each later
+    x^(p^k) = h(x^p) for h = x^(p^(k-1)), by Horner modulo the unfactored v.
     """
     f = poly_trim([c % p for c in f])
     d = len(f) - 1
@@ -262,6 +291,7 @@ def factor_degree_profile(f, p):
         raise NotSquarefreeError(f"not squarefree mod {p}")
     degrees = []
     v = f
+    xp = poly_xpow(p, f, p)
     h = [0, 1]
     k = 0
     while True:
@@ -272,7 +302,11 @@ def factor_degree_profile(f, p):
             degrees.append(dv)  # remainder has no factor of degree <= dv/2
             break
         k += 1
-        h = poly_powmod(h, p, v, p)
+        acc = [h[-1]]
+        for c in reversed(h[:-1]):
+            acc = _mulmod(acc, xp, v, p)
+            acc[0] = (acc[0] + c) % p
+        h = acc
         diff = list(h) + [0] * (2 - len(h))
         diff[1] = (diff[1] - 1) % p
         g = poly_gcd(v, diff, p)
@@ -280,6 +314,7 @@ def factor_degree_profile(f, p):
         if dg > 0:
             degrees.extend([k] * (dg // k))
             v = poly_divmod(v, g, p)[0]
+            xp = poly_divmod(xp, v, p)[1]
             h = poly_divmod(h, v, p)[1]
     return sorted(degrees)
 

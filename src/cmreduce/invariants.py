@@ -28,11 +28,14 @@ from .ff_arith import (
     poly_deriv,
     poly_divmod,
     poly_gcd,
-    poly_powmod,
     poly_trim,
+    poly_xpow,
 )
 
-POINT_COUNT_BUDGET = 1 << 26  # largest field enumerated exhaustively
+# largest p^k * max(k, 2)^2 counted, as each evaluation grows as k^2: every
+# field of up to 2^26 elements passes at k <= 2, and as 17 * 2^24 exceeds
+# 3^13 * 13^2, every k <= g with p^g <= SLOPE_BUDGET passes
+POINT_COUNT_BUDGET = 17 << 24
 SLOPE_BUDGET = 1 << 21  # largest p^g for which slopes are computed
 CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
 _EXT_CHUNK = 1 << 16
@@ -117,7 +120,7 @@ def a_number(curve):
 def _ext_mul_step(acc, d, c, red, p, k):
     # acc*x + c where x runs over the chunk and c is an F_p scalar; with
     # entries in [0, p), each sum before the one reduction is below
-    # k p^2 + (k-1) k p^3 + p, which p^k <= POINT_COUNT_BUDGET keeps under 2^53
+    # k p^2 + (k-1) k p^3 + p, which POINT_COUNT_BUDGET keeps under 2^53
     n = d.shape[1]
     s = np.zeros((2 * k - 1, n), dtype=np.int64)
     for i in range(k):
@@ -149,9 +152,9 @@ def point_count(curve, k=1):
     if k < 1:
         raise DomainError("point_count: extension degree must be >= 1")
     q = p**k
-    if q > POINT_COUNT_BUDGET:
+    if q * max(k, 2) ** 2 > POINT_COUNT_BUDGET:
         raise ResourceLimitError(
-            f"point_count: field size {p}^{k} exceeds {POINT_COUNT_BUDGET}"
+            f"point_count: {p}^{k} * {max(k, 2)}^2 exceeds {POINT_COUNT_BUDGET}"
         )
     modulus = find_irreducible(p, k)
     # z^m mod the modulus for m = k .. 2k-2, little-endian
@@ -159,7 +162,7 @@ def point_count(curve, k=1):
     # Frobenius on the polynomial basis: column j is z^(jp) mod the modulus
     frob = np.zeros((k, k), dtype=np.int64)
     for j in range(k):
-        col = poly_powmod([0, 1], j * p, modulus, p)
+        col = poly_xpow(j * p, modulus, p)
         frob[: len(col), j] = col
 
     def digits(ns):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from cmreduce import InternalInconsistencyError, catalog_load, invariants
+from cmreduce import InternalInconsistencyError, catalog_load, ff_arith, invariants
 from cmreduce.cli import main
 from cmreduce.ff_arith import is_prime
 
@@ -152,19 +152,30 @@ def test_invariants_counts_points_once(capsys, monkeypatch):
       for c, t in (("weng-g3", "ordinary"), ("wamelen-c1", "ssing-non-sspec"))],
 ])
 def test_each_entry_proves_its_prime_once(capsys, monkeypatch, argv, proofs):
+    # every entry checks p itself, but the Miller-Rabin rounds run once
     calls = Counter()
+    rounds = Counter()
+    witness = ff_arith._mr_witness
 
     def counted(n):
         calls[n] += 1
         return is_prime(n)
 
+    def counted_witness(a, d, s, n):
+        rounds[n] += 1
+        return witness(a, d, s, n)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("cmreduce") and getattr(module, "is_prime", None) is is_prime:
             monkeypatch.setattr(module, "is_prime", counted)
+    monkeypatch.setattr(ff_arith, "_mr_witness", counted_witness)
+    ff_arith._miller_rabin.cache_clear()  # no verdict left by an earlier test
     code, doc, _ = run_json(capsys, *argv)
     assert code == 0
     p = int(argv[argv.index("--p") + 1]) if "--p" in argv else doc["result"]["p"]
     assert 1 <= calls[p] <= proofs
+    extra = ff_arith._MR_EXTRA_ROUNDS if p >= ff_arith._MR_DET_BOUND else 0
+    assert rounds[p] == len(ff_arith._MR_BASES) + extra
 
 
 def test_invariants_bad_reduction_exit(capsys):

@@ -23,8 +23,8 @@ from cmreduce.ff_arith import (
     poly_divmod,
     poly_gcd,
     poly_mul,
-    poly_powmod,
     poly_trim,
+    poly_xpow,
 )
 
 
@@ -67,6 +67,18 @@ def test_is_prime_large():
     assert not is_prime((1 << 67) - 1)  # 193707721 * 761838257287
     assert is_prime((1 << 128) + 51)
     assert not is_prime((1 << 128) + 49)
+
+
+def test_is_prime_alternating_large_values():
+    # the Miller-Rabin verdict is memoised for the last n only: alternating
+    # p and p + 2 must each get their own verdict, first call or repeated.
+    # No p + 2 here has a factor below 50, so each reaches Miller-Rabin
+    cases = [(128, 303, False), (128, 993, True), (256, 141, False), (256, 1269, True)]
+    for bits, offset, twin in cases:
+        p = (1 << (bits - 1)) + offset
+        for _ in range(3):
+            assert is_prime(p), p
+            assert is_prime(p + 2) is twin, p + 2
 
 
 def naive_jacobi(a, n):
@@ -223,16 +235,38 @@ def test_poly_gcd_is_monic():
     assert poly_gcd(f, g, p) == [1, 1]
 
 
-def test_poly_powmod_fermat():
-    # x^p = x mod (p, any modulus containing x^p - x), spot check via powmod
+def naive_powmod(h, e, m, p):
+    # h^e mod m by e - 1 schoolbook products
+    acc = [1]
+    for _ in range(e):
+        acc = poly_divmod(naive_mul(acc, h, p), m, p)[1]
+    return acc
+
+
+def test_poly_xpow_fermat():
+    # x^(p^3) mod m equals iterating h -> h^p three times from h = x
     p = 5
     m = [2, 0, 1, 1]
-    lhs = poly_powmod([0, 1], p ** 3, m, p)
-    # x^(p^3) mod m equals iterating x -> x^p three times
+    lhs = poly_xpow(p ** 3, m, p)
     h = [0, 1]
     for _ in range(3):
-        h = poly_powmod(h, p, m, p)
+        h = naive_powmod(h, p, m, p)
     assert lhs == h
+    # x^q = a^((q-1)/2) x modulo x^2 - a, so x^(q^2) = x
+    for q in (10007, (1 << 61) - 1, (1 << 127) - 1):
+        for a in (2, 3, 5, 7):
+            m = [-a % q, 0, 1]
+            assert poly_xpow(q, m, q) == [0, kronecker(a, q) % q], (q, a)
+            assert poly_xpow(q * q, m, q) == [0, 1], (q, a)
+
+
+def test_poly_xpow_matches_repeated_product():
+    rng = random.Random(3)
+    for p in (2, 3, 7, 10007):
+        for _ in range(10):
+            m = [rng.randrange(p) for _ in range(rng.randrange(1, 8))] + [1]
+            for e in range(0, 24):
+                assert poly_xpow(e, m, p) == naive_powmod([0, 1], e, m, p), (m, e, p)
 
 
 def test_poly_deriv():
@@ -240,10 +274,13 @@ def test_poly_deriv():
     assert poly_deriv([9], 5) == [0]
 
 
-def naive_factor_degrees(f, p):
-    """Factor degrees by brute force over all monic polynomials. Tiny inputs only."""
-    f = poly_trim([c % p for c in f])
+def naive_factors(f, p):
+    """Monic irreducible factors of monic f mod p, with multiplicity, by trial
+    division over all monic polynomials of rising degree. Tiny inputs only.
 
+    Once every factor of degree < d is divided out, a monic h of degree d
+    that divides v is irreducible, and v itself is once 2d > deg v.
+    """
     def monics(d):
         for packed in range(p ** d):
             coeffs = []
@@ -253,40 +290,43 @@ def naive_factor_degrees(f, p):
                 x //= p
             yield coeffs + [1]
 
-    def irreducible(g):
-        d = len(g) - 1
-        for e in range(1, d // 2 + 1):
-            for h in monics(e):
-                if poly_divmod(g, h, p)[1] == [0]:
-                    return False
-        return True
-
-    degrees = []
-    v = f
+    factors = []
+    v = poly_trim([c % p for c in f])
     d = 1
-    while len(v) - 1 > 0:
-        hit = False
+    while len(v) - 1 >= 2 * d:
         for h in monics(d):
-            if irreducible(h) and poly_divmod(v, h, p)[1] == [0]:
-                degrees.append(d)
-                v = poly_divmod(v, h, p)[0]
-                hit = True
+            q, r = poly_divmod(v, h, p)
+            if r == [0]:
+                factors.append(tuple(h))
+                v = q
                 break
-        if not hit:
+        else:
             d += 1
-    return sorted(degrees)
+    if len(v) > 1:
+        factors.append(tuple(v))
+    return factors
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_factor_degree_profile_matches_brute_force(p):
+    # degree up to 10; a quarter of the inputs are a^2 b, so not squarefree
     rng = random.Random(100 + p)
-    done = 0
-    while done < 12:
-        f = [rng.randrange(p) for _ in range(rng.randrange(2, 7))] + [1]
-        if poly_gcd(f, poly_deriv(f, p), p) != [1]:
-            continue
-        assert factor_degree_profile(f, p) == naive_factor_degrees(f, p), (f, p)
-        done += 1
+
+    def monic(lo, hi):
+        return [rng.randrange(p) for _ in range(rng.randrange(lo, hi + 1))] + [1]
+
+    for _ in range(40):
+        if rng.random() < 0.25:
+            a = monic(1, 3)
+            f = poly_mul(poly_mul(a, a, p), monic(0, 4), p)
+        else:
+            f = monic(1, 10)
+        factors = naive_factors(f, p)
+        if len(set(factors)) < len(factors):
+            with pytest.raises(NotSquarefreeError):
+                factor_degree_profile(f, p)
+        else:
+            assert factor_degree_profile(f, p) == sorted(len(h) - 1 for h in factors), (f, p)
 
 
 def test_factor_degree_profile_known_splits():
@@ -296,6 +336,22 @@ def test_factor_degree_profile_known_splits():
     assert factor_degree_profile(f, 19) == [1, 2, 2]
     assert factor_degree_profile(f, 3) == [1, 4]
     assert factor_degree_profile(f, 7) == [1, 4]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_factor_degree_profile_cyclotomic_large_p(bits):
+    # Phi_l mod p splits into (l - 1) / ord_l(p) factors of degree ord_l(p);
+    # every fourth p is 1 mod 5 * 7 * 11 * 13, so that Phi_l splits completely
+    rng = random.Random(bits)
+    for i in range(8):
+        step = 5005 if i % 4 == 0 else 2
+        p = rng.randrange(1 << (bits - 1), 1 << bits) // step * step + 1
+        while not is_prime(p):
+            p += step
+        for ell in (5, 7, 11, 13):
+            order = next(k for k in range(1, ell) if pow(p, k, ell) == 1)
+            want = [order] * ((ell - 1) // order)
+            assert factor_degree_profile([1] * ell, p) == want, (ell, p)
 
 
 def test_factor_degree_profile_rejects_bad_input():

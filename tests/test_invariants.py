@@ -348,12 +348,51 @@ def test_point_count_even_degree_infinity():
     assert point_count(c, k) == brute_count([1, 1, 0, 0, 0, 0, 2], p, k, m)
 
 
-def test_point_count_budget():
+def test_point_count_budget(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("point_count started on a refused field")
+
+    monkeypatch.setattr(invariants, "find_irreducible", no_enumeration)
     c = ReducedCurve(5, [1, 1, 0, 0, 0, 1])
     with pytest.raises(ResourceLimitError):
         point_count(c, 12)  # 5^12 > 2^26
+    # 3^16 < 2^26, but each evaluation grows as k^2: refused up front
+    with pytest.raises(ResourceLimitError):
+        point_count(ReducedCurve(3, [2, 1, 0, 0, 0, 0, 1]), 16)
     with pytest.raises(DomainError):
         point_count(c, 0)
+
+
+def _curve_at(p):
+    # y^2 = x^5 + a x + c for the least (a, c) that gives a curve at p
+    for a in range(p):
+        for c in range(p):
+            try:
+                return ReducedCurve(p, [c, a, 0, 0, 0, 1])
+            except BadReductionError:
+                pass
+
+
+def test_point_count_budget_admits_every_reachable_count(monkeypatch):
+    # the commands count over F_{p^k} for k <= g with p^g <= SLOPE_BUDGET, and
+    # a field of up to 2^26 elements at k <= 2 was always admitted; the
+    # largest such p for each k must pass the cap, which a sentinel
+    # standing in for the enumeration shows without running it
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(invariants, "find_irreducible", admitted)
+    edges = [(1 << 26, k) for k in (1, 2)]
+    edges += [(invariants.SLOPE_BUDGET, k) for k in range(1, 14)]
+    for size, k in edges:
+        p = round(size ** (1 / k)) + 1
+        while p**k > size or not is_prime(p):
+            p -= 1
+        with pytest.raises(Admitted):
+            point_count(_curve_at(p), k)
 
 
 WORKED_L = {

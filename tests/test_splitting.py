@@ -5,6 +5,7 @@ polynomials), and the Stickelberger parity must never disagree on an
 unramified non-index prime. Frozen spot values pin down each route alone.
 """
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -150,6 +151,23 @@ def test_split_routes_agree_on_quartic():
         except NotSquarefreeError:
             continue  # index divisor, no claim made
         assert fact == split_by_residue(QUARTIC, p), p
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("label", ["quartic-5-65-845", "sextic-5-2"])
+def test_split_routes_agree_at_large_p(catalog, label, bits):
+    # primes drawn by residue class for every splitting the field has, plus
+    # plain random ones; the factor degrees must give the residue verdict
+    field = catalog.field(label)
+    primes = [find_prime(field, m, bits - 1, seed=s)
+              for m in residue_class_table(field) for s in range(2)]
+    rng = random.Random(f"{label}:{bits}")
+    while len(primes) < 12:
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if is_prime(p):
+            primes.append(p)
+    for p in primes:
+        assert split_by_factorization(field, p) == split_by_residue(field, p), p
 
 
 def test_stickelberger_parity_values():
