@@ -56,13 +56,7 @@ from .invariants import (
 from .predictor import (
     Prediction,
     TypeNormOrbit,
-    m_small_compose,
     predict_for_genus,
-    predict_g1,
-    predict_g2,
-    predict_g3,
-    predict_general,
-    rm_endo_degree,
     type_norm_orbit,
 )
 from .splitting import (
@@ -114,19 +108,13 @@ __all__ = [
     "generate",
     "generation_predicate",
     "l_polynomial",
-    "m_small_compose",
     "newton_slopes",
     "p_rank",
     "point_count",
     "predict_for_genus",
-    "predict_g1",
-    "predict_g2",
-    "predict_g3",
-    "predict_general",
     "reduce_curve",
     "reduction_profile",
     "residue_class_table",
-    "rm_endo_degree",
     "split_by_factorization",
     "split_by_residue",
     "stickelberger_parity",

@@ -15,6 +15,9 @@ from .errors import DomainError, ResourceLimitError
 from .ff_arith import factorize
 
 ENUMERATION_CAP = 24  # enumerate_classes scans 2**g strings
+# count_E(g) has about 0.3 g digits: 4,210 at g = 14000, under Python's
+# default 4,300-digit limit on int-to-str (the last g that fits is 14299)
+COUNT_CAP = 14000
 
 
 def cyclic_period(bits):
@@ -183,6 +186,8 @@ def count_P(k):
     """Number of extended strings of period exactly k, any ambient g."""
     if k < 2 or k % 2:
         raise DomainError("count_P: k must be even and >= 2")
+    if k > 2 * COUNT_CAP:
+        raise ResourceLimitError(f"count_P: k capped at {2 * COUNT_CAP}")
     return sum(
         _mobius(x) * 2 ** (k // (2 * x)) for x in range(1, k + 1) if k % x == 0 and x % 2
     )
@@ -192,6 +197,8 @@ def count_E(g):
     """Number of rotation classes of CM types at half-degree g."""
     if g < 1:
         raise DomainError("count_E: g must be >= 1")
+    if g > COUNT_CAP:
+        raise ResourceLimitError(f"count_E: g capped at {COUNT_CAP}")
     total = sum(
         _totient(d) * 2 ** (g // d) for d in range(1, g + 1) if g % d == 0 and d % 2
     )
@@ -202,6 +209,8 @@ def count_E(g):
 def count_E_primitive(g):
     if g < 1:
         raise DomainError("count_E_primitive: g must be >= 1")
+    if g > COUNT_CAP:
+        raise ResourceLimitError(f"count_E_primitive: g capped at {COUNT_CAP}")
     cnt = count_P(2 * g)
     assert cnt % (2 * g) == 0
     return cnt // (2 * g)

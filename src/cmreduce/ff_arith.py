@@ -2,12 +2,11 @@
 
 Arbitrary-precision number theory (primality, Kronecker symbol), trial
 division of small integers (factorize), dense polynomials over F_p
-(multiplication, division, gcd, powers of x modulo a monic polynomial,
-distinct-degree factoring, irreducible moduli, coefficients of
-f^((p-1)/2)), and the rank of a matrix over F_p. Elements of F_p are plain
-ints, matrices are sequences of integer rows, and polynomials are dense
-little-endian coefficient lists: index = exponent, no trailing zeros above
-the degree.
+(division, gcd, powers of x modulo a monic polynomial, distinct-degree
+factoring, irreducible moduli, coefficients of f^((p-1)/2)), and the rank of
+a matrix over F_p. Elements of F_p are plain ints, matrices are sequences of
+integer rows, and polynomials are dense little-endian coefficient lists:
+index = exponent, no trailing zeros above the degree.
 
 is_prime keeps the Miller-Rabin verdict for the last n it ran on, so the
 public entries of one command, each checking its own p, pay for one proof.
@@ -130,33 +129,6 @@ def poly_trim(f):
     while d > 0 and f[d] == 0:
         d -= 1
     return f[: d + 1]
-
-
-_SCHOOLBOOK_CUTOFF = 48
-
-
-def poly_mul(f, g, p):
-    """Product over F_p via Kronecker substitution into one big multiply."""
-    n, m = len(f), len(g)
-    if n == 0 or m == 0:
-        return [0]
-    if min(n, m) <= _SCHOOLBOOK_CUTOFF:
-        out = [0] * (n + m - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g):
-                    out[i + j] += a * b
-        return [c % p for c in out]
-    # chunk wide enough that packed product coefficients never carry over
-    bits = 2 * (p - 1).bit_length() + min(n, m).bit_length() + 1
-    w = (bits + 7) // 8
-    fi = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in f), "little")
-    gi = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in g), "little")
-    raw = (fi * gi).to_bytes(w * (n + m), "little")
-    return [
-        int.from_bytes(raw[i * w : (i + 1) * w], "little") % p
-        for i in range(n + m - 1)
-    ]
 
 
 def half_power_coeffs(f, p, wanted):

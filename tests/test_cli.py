@@ -7,7 +7,15 @@ from collections import Counter
 
 import pytest
 
-from cmreduce import InternalInconsistencyError, catalog_load, ff_arith, invariants
+from cmreduce import (
+    InternalInconsistencyError,
+    catalog_load,
+    cm_types,
+    count_E,
+    count_E_primitive,
+    ff_arith,
+    invariants,
+)
 from cmreduce.cli import main
 from cmreduce.ff_arith import is_prime
 
@@ -56,6 +64,37 @@ def test_count_types_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["count-types", "--g", "0"])
     assert e.value.code == 2
+
+
+def test_count_types_at_count_cap(capsys):
+    g = cm_types.COUNT_CAP
+    total, prim = count_E(g), count_E_primitive(g)
+    code, doc, _ = run_json(capsys, "count-types", "--g", str(g))
+    assert code == 0
+    assert doc["result"] == {
+        "g": g, "total": total, "primitive": prim, "imprimitive": total - prim,
+    }
+    code, out, _ = run(capsys, "count-types", "--g", str(g))
+    assert code == 0
+    assert out == f"g = {g}: {total} classes ({prim} primitive, {total - prim} imprimitive)\n"
+
+
+def test_count_types_above_count_cap_json_envelope(capsys, monkeypatch):
+    # refused before any counting: the arithmetic helpers must not run
+    def no_work(n):
+        raise AssertionError("counted above the cap")
+
+    monkeypatch.setattr(cm_types, "_totient", no_work)
+    monkeypatch.setattr(cm_types, "_mobius", no_work)
+    g = str(cm_types.COUNT_CAP + 1)
+    for extra in ((), ("--primitive",)):
+        code, out, err = run(capsys, "count-types", "--g", g, *extra, "--json")
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["command"] == "count-types"
+        assert doc["error"]["type"] == "ResourceLimitError"
+        assert str(cm_types.COUNT_CAP) in doc["error"]["message"]
+        assert err.startswith("error:")
 
 
 def test_split_residue_json(capsys):

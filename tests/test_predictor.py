@@ -1,34 +1,29 @@
-"""Reduction-type predictions from splitting data, and the combinatorial
-checks (type norm orbits, endomorphism degree bounds) that drive the proofs."""
+"""Reduction-type predictions from splitting data, and the type-norm
+combinatorics that drives the proofs."""
 
 import pytest
 
 from cmreduce import (
+    CMReduceError,
     CMType,
     DomainError,
     RamifiedPrimeError,
     SplittingType,
     enumerate_classes,
-    m_small_compose,
     predict_for_genus,
-    predict_g1,
-    predict_g2,
-    predict_g3,
-    predict_general,
-    rm_endo_degree,
     type_norm_orbit,
 )
 
 
 def test_predict_g1():
-    p = predict_g1(SplittingType(2, 1))
+    p = predict_for_genus(1, SplittingType(2, 1))
     assert (p.profile.p_rank, p.profile.a_number) == (1, 0)
     assert p.certainty == "exact"
-    p = predict_g1(SplittingType(1, 2))
+    p = predict_for_genus(1, SplittingType(1, 2))
     assert (p.profile.p_rank, p.profile.a_number) == (0, 1)
     assert p.profile.type_name == "supersingular"
     # ramified primes of the quadratic field also give supersingular reduction
-    p = predict_g1(SplittingType(1, 1, ramified=True))
+    p = predict_for_genus(1, SplittingType(1, 1, ramified=True))
     assert p.profile.type_name == "supersingular"
 
 
@@ -39,51 +34,53 @@ def test_predict_g2():
         1: (0, 1, "supersingular non-superspecial"),
     }
     for ell, (f, a, name) in cases.items():
-        pred = predict_g2(SplittingType(ell, 4 // ell))
+        pred = predict_for_genus(2, SplittingType(ell, 4 // ell))
         assert pred.certainty == "exact"
         assert (pred.profile.p_rank, pred.profile.a_number) == (f, a)
         assert pred.profile.type_name == name
     with pytest.raises(RamifiedPrimeError):
-        predict_g2(SplittingType(2, 2, ramified=True))
+        predict_for_genus(2, SplittingType(2, 2, ramified=True))
 
 
 def test_predict_g3():
-    pred = predict_g3(SplittingType(6, 1))
+    pred = predict_for_genus(3, SplittingType(6, 1))
     assert pred.certainty == "exact"
     assert (pred.profile.p_rank, pred.profile.a_number) == (3, 0)
-    pred = predict_g3(SplittingType(3, 2))
+    pred = predict_for_genus(3, SplittingType(3, 2))
     assert pred.certainty == "exact"
     assert (pred.profile.p_rank, pred.profile.a_number) == (0, 3)
     # inertia 3 and 6 pin down (f, a) but not the finer structure
-    pred = predict_g3(SplittingType(2, 3))
+    pred = predict_for_genus(3, SplittingType(2, 3))
     assert pred.certainty == "partial"
     assert (pred.profile.p_rank, pred.profile.a_number) == (0, 2)
     assert pred.profile.slopes is None
-    pred = predict_g3(SplittingType(1, 6))
+    pred = predict_for_genus(3, SplittingType(1, 6))
     assert pred.certainty == "partial"
     assert (pred.profile.p_rank, pred.profile.a_number) == (0, 1)
     assert pred.profile.group_scheme == "I_{3,1}"
 
 
 def test_predict_general():
-    pred = predict_general(5, SplittingType(10, 1))
+    pred = predict_for_genus(5, SplittingType(10, 1))
     assert pred.certainty == "exact"
     assert (pred.profile.p_rank, pred.profile.a_number) == (5, 0)
     assert pred.profile.group_scheme == "L^5"
-    pred = predict_general(5, SplittingType(5, 2))
+    pred = predict_for_genus(5, SplittingType(5, 2))
     assert (pred.profile.p_rank, pred.profile.a_number) == (0, 5)
     assert pred.profile.group_scheme == "I_{1,1}^5"
     assert pred.profile.slopes.count(0) == 0
-    pred = predict_general(5, SplittingType(2, 5))
+    pred = predict_for_genus(5, SplittingType(2, 5))
     assert pred.certainty == "undetermined"
     assert pred.profile is None
+    with pytest.raises(DomainError):
+        predict_for_genus(0, SplittingType(1, 1))
 
 
 def test_predict_split_shape_must_fit():
     with pytest.raises(DomainError):
-        predict_g2(SplittingType(3, 1))  # 3 * 1 != 4
+        predict_for_genus(2, SplittingType(3, 1))  # 3 * 1 != 4
     with pytest.raises(DomainError):
-        predict_general(4, SplittingType(8, 2))
+        predict_for_genus(4, SplittingType(8, 2))
 
 
 def test_predict_for_genus_dispatch():
@@ -133,25 +130,120 @@ def test_type_norm_orbit_split_case_support():
             assert sorted(counts) == [0] * g + [1] * g
 
 
-def test_rm_endo_degree():
-    assert rm_endo_degree(5) == 1
-    assert rm_endo_degree(13) == 9
-    assert rm_endo_degree(8) == 64
-    assert rm_endo_degree(12) == 144
-    assert rm_endo_degree(21) == 25
+# Every prediction for g = 1..6, every m | 2g with inertia 2g/m, plus two
+# shapes that do not fit degree 2g, ramified and not. Values are (certainty,
+# source, p-rank, a-number, slopes as runs "value*count", group scheme, type
+# name), or the exception the predictor raises.
+DEURING = "Deuring reduction criterion"
+GOREN = "Goren quartic reduction theorem"
+SEXTIC = "sextic cyclic reduction theorem"
+GENERAL = "general-degree CM reduction theorem"
+
+FROZEN_TABLE = {
+    (1, 1, 2, False): ("exact", DEURING, 0, 1, "1/2*2", "I_{1,1}", "supersingular"),
+    (1, 1, 2, True): ("exact", DEURING, 0, 1, "1/2*2", "I_{1,1}", "supersingular"),
+    (1, 2, 1, False): ("exact", DEURING, 1, 0, "0*1 1*1", "L", "ordinary"),
+    (1, 2, 1, True): ("exact", DEURING, 0, 1, "1/2*2", "I_{1,1}", "supersingular"),
+    (1, 1, 1, False): "DomainError",
+    (1, 1, 1, True): ("exact", DEURING, 0, 1, "1/2*2", "I_{1,1}", "supersingular"),
+    (1, 2, 2, False): "DomainError",
+    (1, 2, 2, True): ("exact", DEURING, 0, 1, "1/2*2", "I_{1,1}", "supersingular"),
+    (2, 1, 4, False): ("exact", GOREN, 0, 1, "1/2*4",
+        "I_{2,1}", "supersingular non-superspecial"),
+    (2, 1, 4, True): "RamifiedPrimeError",
+    (2, 2, 2, False): ("exact", GOREN, 0, 2, "1/2*4", "I_{1,1}^2", "superspecial"),
+    (2, 2, 2, True): "RamifiedPrimeError",
+    (2, 4, 1, False): ("exact", GOREN, 2, 0, "0*2 1*2", "L^2", "ordinary"),
+    (2, 4, 1, True): "RamifiedPrimeError",
+    (2, 1, 1, False): "DomainError",
+    (2, 1, 1, True): "RamifiedPrimeError",
+    (2, 4, 2, False): "DomainError",
+    (2, 4, 2, True): "RamifiedPrimeError",
+    (3, 1, 6, False): ("partial", SEXTIC, 0, 1, None, "I_{3,1}", "mixed or supersingular"),
+    (3, 1, 6, True): "RamifiedPrimeError",
+    (3, 2, 3, False): ("partial", SEXTIC, 0, 2, None,
+        "I_{3,2} or I_{1,1} + I_{2,1}", "mixed or supersingular"),
+    (3, 2, 3, True): "RamifiedPrimeError",
+    (3, 3, 2, False): ("exact", SEXTIC, 0, 3, "1/2*6", "I_{1,1}^3", "superspecial"),
+    (3, 3, 2, True): "RamifiedPrimeError",
+    (3, 6, 1, False): ("exact", SEXTIC, 3, 0, "0*3 1*3", "L^3", "ordinary"),
+    (3, 6, 1, True): "RamifiedPrimeError",
+    (3, 1, 1, False): "DomainError",
+    (3, 1, 1, True): "RamifiedPrimeError",
+    (3, 6, 2, False): "DomainError",
+    (3, 6, 2, True): "RamifiedPrimeError",
+    (4, 1, 8, False): ("undetermined", GENERAL),
+    (4, 1, 8, True): "RamifiedPrimeError",
+    (4, 2, 4, False): ("undetermined", GENERAL),
+    (4, 2, 4, True): "RamifiedPrimeError",
+    (4, 4, 2, False): ("exact", GENERAL, 0, 4, "1/2*8", "I_{1,1}^4", "superspecial"),
+    (4, 4, 2, True): "RamifiedPrimeError",
+    (4, 8, 1, False): ("exact", GENERAL, 4, 0, "0*4 1*4", "L^4", "ordinary"),
+    (4, 8, 1, True): "RamifiedPrimeError",
+    (4, 1, 1, False): "DomainError",
+    (4, 1, 1, True): "RamifiedPrimeError",
+    (4, 8, 2, False): "DomainError",
+    (4, 8, 2, True): "RamifiedPrimeError",
+    (5, 1, 10, False): ("undetermined", GENERAL),
+    (5, 1, 10, True): "RamifiedPrimeError",
+    (5, 2, 5, False): ("undetermined", GENERAL),
+    (5, 2, 5, True): "RamifiedPrimeError",
+    (5, 5, 2, False): ("exact", GENERAL, 0, 5, "1/2*10", "I_{1,1}^5", "superspecial"),
+    (5, 5, 2, True): "RamifiedPrimeError",
+    (5, 10, 1, False): ("exact", GENERAL, 5, 0, "0*5 1*5", "L^5", "ordinary"),
+    (5, 10, 1, True): "RamifiedPrimeError",
+    (5, 1, 1, False): "DomainError",
+    (5, 1, 1, True): "RamifiedPrimeError",
+    (5, 10, 2, False): "DomainError",
+    (5, 10, 2, True): "RamifiedPrimeError",
+    (6, 1, 12, False): ("undetermined", GENERAL),
+    (6, 1, 12, True): "RamifiedPrimeError",
+    (6, 2, 6, False): ("undetermined", GENERAL),
+    (6, 2, 6, True): "RamifiedPrimeError",
+    (6, 3, 4, False): ("undetermined", GENERAL),
+    (6, 3, 4, True): "RamifiedPrimeError",
+    (6, 4, 3, False): ("undetermined", GENERAL),
+    (6, 4, 3, True): "RamifiedPrimeError",
+    (6, 6, 2, False): ("exact", GENERAL, 0, 6, "1/2*12", "I_{1,1}^6", "superspecial"),
+    (6, 6, 2, True): "RamifiedPrimeError",
+    (6, 12, 1, False): ("exact", GENERAL, 6, 0, "0*6 1*6", "L^6", "ordinary"),
+    (6, 12, 1, True): "RamifiedPrimeError",
+    (6, 1, 1, False): "DomainError",
+    (6, 1, 1, True): "RamifiedPrimeError",
+    (6, 12, 2, False): "DomainError",
+    (6, 12, 2, True): "RamifiedPrimeError",
+}
 
 
-def test_rm_endo_degree_rejects_non_fundamental():
-    for bad in (0, 1, 2, 3, 9, 16, 20, 25, 45):
-        with pytest.raises(DomainError):
-            rm_endo_degree(bad)
+def _slope_runs(slopes):
+    runs = []
+    for s in slopes:
+        if runs and runs[-1][0] == s:
+            runs[-1][1] += 1
+        else:
+            runs.append([s, 1])
+    return " ".join(f"{s}*{n}" for s, n in runs)
 
 
-def test_m_small_compose():
-    assert m_small_compose(3) == 9
-    assert m_small_compose(3, 2) == 12
-    assert m_small_compose(1, 1) == 1
-    with pytest.raises(DomainError):
-        m_small_compose(0)
-    with pytest.raises(DomainError):
-        m_small_compose(2, 0)
+def _table_row(g, split):
+    try:
+        pred = predict_for_genus(g, split)
+    except CMReduceError as e:
+        return type(e).__name__
+    prof = pred.profile
+    if prof is None:
+        return (pred.certainty, pred.source)
+    slopes = None if prof.slopes is None else _slope_runs(prof.slopes)
+    return (pred.certainty, pred.source, prof.p_rank, prof.a_number, slopes,
+            prof.group_scheme, prof.type_name)
+
+
+def test_predictor_table_frozen():
+    got = {}
+    for g in range(1, 7):
+        n = 2 * g
+        shapes = [(m, n // m) for m in range(1, n + 1) if n % m == 0] + [(1, 1), (n, 2)]
+        for m, f in shapes:
+            for ramified in (False, True):
+                got[(g, m, f, ramified)] = _table_row(g, SplittingType(m, f, ramified))
+    assert got == FROZEN_TABLE
