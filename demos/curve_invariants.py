@@ -41,7 +41,7 @@ for p in (13, 43, 17, 11):
 
 # Slopes need the full L-polynomial, hence g point counts up to p^g.
 # Past the budget the profile falls back to the ranks alone, which the
-# Cartier-Manin matrices deliver for any small-coefficient prime.
+# Cartier-Manin matrix delivers for any small-coefficient prime.
 big = 65011
 curve = reduce_curve(record, big)
 profile = reduction_profile(curve)

@@ -36,22 +36,23 @@ def cyclic_period(bits):
     raise AssertionError("unreachable: period n always fixes the string")
 
 
+@dataclass(frozen=True)
 class CMType:
     """Immutable CM type for a cyclic field of degree 2g."""
 
-    __slots__ = ("g", "bits")
+    bits: tuple
 
-    def __init__(self, bits):
-        b = tuple(int(c) for c in bits)
+    def __post_init__(self):
+        b = tuple(int(c) for c in self.bits)
         if not b:
             raise DomainError("CMType: empty bit string")
         if any(c not in (0, 1) for c in b):
             raise DomainError("CMType: bits must be 0 or 1")
-        object.__setattr__(self, "g", len(b))
         object.__setattr__(self, "bits", b)
 
-    def __setattr__(self, *a):
-        raise AttributeError("CMType is immutable")
+    @property
+    def g(self):
+        return len(self.bits)
 
     @classmethod
     def from_exponents(cls, g, exponents):
@@ -64,16 +65,6 @@ class CMType:
                     f"CMType: exactly one of {i}, {i + g} must be an exponent"
                 )
         return cls(tuple(0 if i in s else 1 for i in range(g)))
-
-    @classmethod
-    def from_extended(cls, ext):
-        b = tuple(int(c) for c in ext)
-        if len(b) % 2:
-            raise DomainError("CMType: extended string must have even length")
-        g = len(b) // 2
-        if any(b[i] == b[i + g] for i in range(g)):
-            raise DomainError("CMType: entries at distance g must differ")
-        return cls(b[:g])
 
     @property
     def extended(self):
@@ -106,12 +97,6 @@ class CMType:
         n = 2 * self.g
         return CMType.from_exponents(self.g, {(s + self.g) % n for s in self.exponents})
 
-    def __eq__(self, other):
-        return isinstance(other, CMType) and other.bits == self.bits
-
-    def __hash__(self):
-        return hash(self.bits)
-
     def __repr__(self):
         s = "".join(map(str, self.extended))
         return f"CMType({s!r})"
@@ -130,10 +115,6 @@ class TypeClass:
     @property
     def primitive(self):
         return self.period == 2 * self.representative.g
-
-    @property
-    def class_size(self):
-        return self.period
 
 
 def enumerate_classes(g):

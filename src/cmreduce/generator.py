@@ -3,8 +3,8 @@ end-to-end verification of predictions against computed invariants.
 
 The shipped catalog holds the CM curves and fields every other module is
 exercised against; members of the y^2 = x^l - 1 family are synthesized on
-demand for odd primes l. The catalog file is versioned JSON and a load
-followed by a dump reproduces it byte for byte.
+demand for odd primes l. The catalog file is versioned JSON, checked key by
+key as it loads.
 """
 
 import json
@@ -113,7 +113,6 @@ def _cyclo_field(ell):
         discriminant=disc,
         defining_polys=[[1] * ell],
         conductor=ell,
-        h_generators=[],
     )
 
 
@@ -130,8 +129,7 @@ def _cyclo_record(ell, field):
 
 
 class Catalog:
-    def __init__(self, version, fields, curves):
-        self.version = version
+    def __init__(self, fields, curves):
         self.fields = {f.label: f for f in fields}
         self.curves = {c.label: c for c in curves}
         self._synth_fields = {}
@@ -162,43 +160,36 @@ class Catalog:
             return c
         raise CatalogError(f"unknown curve label {label!r}")
 
-    def curve_labels(self):
-        return list(self.curves)
-
-    def field_labels(self):
-        return list(self.fields)
-
-    def to_data(self):
-        fields = []
-        for f in self.fields.values():
-            d = {"label": f.label, "two_g": f.two_g}
-            if f.conductor is not None:
-                d["conductor"] = f.conductor
-                d["H_generators"] = list(f.h_generators)
-            d["discriminant"] = f.discriminant
-            d["defining_polys"] = [list(q) for q in f.defining_polys]
-            fields.append(d)
-        curves = []
-        for c in self.curves.values():
-            d = {
-                "label": c.label,
-                "genus": c.genus,
-                "f_coeffs": list(c.f_coeffs),
-                "field_label": c.field.label,
-                "provenance": c.provenance,
-            }
-            if c.cm_type is not None:
-                d["cm_type"] = sorted(c.cm_type.exponents)
-            curves.append(d)
-        return {"version": self.version, "fields": fields, "curves": curves}
-
-    def dump(self):
-        return json.dumps(self.to_data(), indent=2) + "\n"
-
 
 def _require(cond, where, msg):
     if not cond:
         raise CatalogError(f"{where}: {msg}")
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_ints(x):
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+def _require_entry(raw, where, required, optional):
+    """Every required key is set (present, not null), and every set key has one
+    JSON type: strings for labels and provenance, integer lists, or ints."""
+    _require(isinstance(raw, dict), where, "must be an object")
+    for key in required + optional:
+        v = raw.get(key)
+        _require(v is not None or key in optional, where, f"missing {key}")
+        if key in ("label", "field_label", "provenance"):
+            ok, kind = isinstance(v, str), "a string"
+        elif key == "defining_polys":
+            ok, kind = isinstance(v, list) and all(map(_is_ints, v)), "a list of integer lists"
+        elif key in ("f_coeffs", "H_generators", "cm_type"):
+            ok, kind = _is_ints(v), "a list of integers"
+        else:
+            ok, kind = _is_int(v), "an integer"
+        _require(ok or v is None, where, f"{key} must be {kind}")
 
 
 def catalog_load(path=None):
@@ -213,7 +204,7 @@ def catalog_load(path=None):
     except json.JSONDecodeError as e:
         raise CatalogError(f"catalog is not valid JSON: {e}") from e
     _require(isinstance(data, dict), "catalog", "top level must be an object")
-    _require(data.get("version") == CATALOG_VERSION, "catalog",
+    _require(_is_int(data.get("version")) and data["version"] == CATALOG_VERSION, "catalog",
              f"version must be {CATALOG_VERSION}")
     raw_fields = data.get("fields")
     raw_curves = data.get("curves")
@@ -222,9 +213,8 @@ def catalog_load(path=None):
     fields = []
     for i, rf in enumerate(raw_fields):
         where = f"fields[{i}]"
-        _require(isinstance(rf, dict), where, "must be an object")
-        for key in ("label", "two_g", "discriminant", "defining_polys"):
-            _require(key in rf, where, f"missing {key}")
+        _require_entry(rf, where, ("label", "two_g", "discriminant", "defining_polys"),
+                       ("conductor", "H_generators"))
         try:
             fields.append(
                 CyclicCMField(
@@ -243,21 +233,17 @@ def catalog_load(path=None):
     curves = []
     for i, rc in enumerate(raw_curves):
         where = f"curves[{i}]"
-        _require(isinstance(rc, dict), where, "must be an object")
-        for key in ("label", "genus", "f_coeffs", "field_label", "provenance"):
-            _require(key in rc, where, f"missing {key}")
+        _require_entry(rc, where, ("label", "genus", "f_coeffs", "field_label", "provenance"),
+                       ("cm_type",))
         _require(rc["field_label"] in by_label, where,
                  f"unknown field_label {rc['field_label']!r}")
         exponents = rc.get("cm_type")
-        _require(exponents is None or (isinstance(exponents, list)
-                 and all(isinstance(e, int) for e in exponents)), where,
-                 "cm_type must be a list of integer exponents")
         try:
             curves.append(
                 CMCurveRecord(
                     label=rc["label"],
                     genus=rc["genus"],
-                    f_coeffs=tuple(int(c) for c in rc["f_coeffs"]),
+                    f_coeffs=tuple(rc["f_coeffs"]),
                     field=by_label[rc["field_label"]],
                     provenance=rc["provenance"],
                     # a CM type has one exponent per conjugate pair: g of them
@@ -269,7 +255,7 @@ def catalog_load(path=None):
             raise CatalogError(f"{where}: {e}") from e
     labels = {c.label for c in curves}
     _require(len(labels) == len(curves), "catalog", "duplicate curve labels")
-    return Catalog(data["version"], fields, curves)
+    return Catalog(fields, curves)
 
 
 def reduce_curve(record, p):

@@ -1,7 +1,7 @@
 """Ground-truth invariants of hyperelliptic curves y^2 = f(x) over F_p.
 
-Everything here is computed from the curve equation alone: Cartier-Manin
-matrices give the p-rank and a-number, exhaustive point counts over small
+Everything here is computed from the curve equation alone: the Cartier-Manin
+matrix gives the p-rank and a-number, exhaustive point counts over small
 extensions give the L-polynomial, and the Newton polygon falls out of the
 L-polynomial. The group-scheme classifier maps (p-rank, a-number, slopes)
 to the p-torsion label for genus up to 3.
@@ -26,7 +26,6 @@ from .ff_arith import (
     is_prime,
     matrix_rank,
     poly_deriv,
-    poly_divmod,
     poly_gcd,
     poly_trim,
     poly_xpow,
@@ -75,22 +74,20 @@ class ReducedCurve:
         return (self.degree - 1) // 2
 
 
-@lru_cache(maxsize=256)
-def _cartier_rows(p, coeffs, g):
-    d, e = len(coeffs) - 1, (p - 1) // 2
+@lru_cache(maxsize=1)
+def cartier_manin(curve):
+    """The Cartier-Manin matrix A_0, (A_0)_{i,j} = c_{ip-j} for 1 <= i, j <= g,
+    where c_m is the x^m coefficient of f^((p-1)/2), as a g-tuple of row
+    tuples of ints in [0, p). The c_m lie in F_p, so every A_l, with entries
+    c_{ip-j}^(p^l), equals A_0."""
+    p, g = curve.p, curve.genus
+    d, e = curve.degree, (p - 1) // 2
     if d * e + 1 > CARTIER_BUDGET:
         raise ResourceLimitError(
             f"cartier_manin: deg {d} ** {e} exceeds cap of {CARTIER_BUDGET} coefficients")
     idx = range(1, g + 1)
-    c = half_power_coeffs(coeffs, p, [i * p - j for i in idx for j in idx])
+    c = half_power_coeffs(curve.coeffs, p, [i * p - j for i in idx for j in idx])
     return tuple(tuple(c[i * p - j] for j in idx) for i in idx)
-
-
-def cartier_manin(curve):
-    """Matrices A_0 .. A_{g-1} with (A_l)_{i,j} = (c_{ip-j})^(p^l), where c_m
-    is the x^m coefficient of f^((p-1)/2). Each is a g-tuple of row tuples of
-    ints in [0, p); the c_m lie in F_p, so all g matrices equal A_0."""
-    return (_cartier_rows(curve.p, curve.coeffs, curve.genus),) * curve.genus
 
 
 def _matmul(a, b, p):
@@ -104,7 +101,7 @@ def _matmul(a, b, p):
 def p_rank(curve):
     """Rank of A_{g-1} ... A_1 A_0 = A_0^g. Ranks of powers of a g x g matrix
     are constant from exponent g on, so squaring A_0 past g gives that rank."""
-    m = _cartier_rows(curve.p, curve.coeffs, curve.genus)
+    m = cartier_manin(curve)
     k = 1
     while k < curve.genus:
         m, k = _matmul(m, m, curve.p), 2 * k
@@ -113,8 +110,7 @@ def p_rank(curve):
 
 def a_number(curve):
     """g minus the rank of A_0."""
-    a0 = _cartier_rows(curve.p, curve.coeffs, curve.genus)
-    return curve.genus - matrix_rank(a0, curve.p)
+    return curve.genus - matrix_rank(cartier_manin(curve), curve.p)
 
 
 def _ext_mul_step(acc, d, c, red, p, k):
@@ -158,7 +154,7 @@ def point_count(curve, k=1):
         )
     modulus = find_irreducible(p, k)
     # z^m mod the modulus for m = k .. 2k-2, little-endian
-    red = [poly_divmod([0] * m + [1], modulus, p)[1] for m in range(k, 2 * k - 1)]
+    red = [poly_xpow(m, modulus, p) for m in range(k, 2 * k - 1)]
     # Frobenius on the polynomial basis: column j is z^(jp) mod the modulus
     frob = np.zeros((k, k), dtype=np.int64)
     for j in range(k):
@@ -382,7 +378,7 @@ def reduction_profile(curve):
     f = p_rank(curve)
     a = a_number(curve)
     lpoly = slopes = None
-    if curve.p**curve.genus <= min(SLOPE_BUDGET, POINT_COUNT_BUDGET):
+    if curve.p**curve.genus <= SLOPE_BUDGET:
         lpoly = tuple(l_polynomial(curve))
         slopes = tuple(newton_slopes(lpoly, curve.p))
         if sum(1 for s in slopes if s == 0) != f:

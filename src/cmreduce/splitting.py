@@ -74,7 +74,6 @@ class CyclicCMField:
         self.discriminant = int(discriminant)
         self.defining_polys = polys
         self.conductor = conductor
-        self.h_generators = tuple(int(x) for x in (h_generators or []))
         if conductor is None:
             self.unit_subgroup = self.inertia_degrees = None
         else:
@@ -170,7 +169,7 @@ def split_by_factorization(field, p):
 def find_prime(field, target, bit_size, seed=0):
     """Prime in [2^n, 2^(n+1)) with the requested splitting behaviour.
 
-    target: an integer (number of primes), a SplittingType, or a pair
+    target: an integer (the number of primes above p), or a pair
     ("kronecker", v) asking for kronecker(D, p) = v. Residue targets sample
     within the admissible classes mod the conductor; Kronecker targets use
     rejection sampling. Deterministic per seed. The search gives up after
@@ -181,8 +180,6 @@ def find_prime(field, target, bit_size, seed=0):
         raise DomainError("find_prime: bit size must be >= 2")
     lo = 1 << bit_size
     hi = 1 << (bit_size + 1)
-    if isinstance(target, SplittingType):
-        target = target.num_primes
     want = None
     if isinstance(target, tuple) and len(target) == 2 and target[0] == "kronecker":
         want = target[1]

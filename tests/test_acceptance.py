@@ -126,7 +126,7 @@ def test_acceptance_5_cross_oracle_splitting():
     with criterion(5, "residue vs factorization vs parity, p < 10^4", budget=60):
         cat = catalog_load()
         checks = 0
-        for label in cat.field_labels():
+        for label in cat.fields:
             field = cat.field(label)
             for p in primes_below(10 ** 4):
                 if field.conductor % p == 0:
@@ -174,7 +174,7 @@ def test_acceptance_8_property_suites():
     with criterion(8, "L-polynomial laws, slope zero count, norm orbits"):
         cat = catalog_load()
         pairs = 0
-        for label in cat.curve_labels():
+        for label in cat.curves:
             record = cat.record(label)
             g = record.genus
             for p in primes_below(120):

@@ -4,12 +4,12 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from importlib import resources
 
 import pytest
 
 from cmreduce import (
     InternalInconsistencyError,
-    catalog_load,
     cm_types,
     count_E,
     count_E_primitive,
@@ -20,6 +20,7 @@ from cmreduce.cli import main
 from cmreduce.ff_arith import is_prime
 
 P128 = str((1 << 128) + 51)  # inert in the quartic field
+SHIPPED = (resources.files("cmreduce") / "catalog.json").read_text()
 
 
 def run(capsys, *argv):
@@ -163,19 +164,36 @@ def test_invariants_text_formats_l_polynomial(capsys):
 
 
 def test_invariants_counts_points_once(capsys, monkeypatch):
-    # the L-polynomial comes with the profile: one point count per k <= g
-    calls = []
-    count = invariants.point_count
+    # the L-polynomial comes with the profile: one point count per k <= g,
+    # and one Cartier-Manin matrix serves both the p-rank and the a-number
+    counts, cartier = [], []
+    count, half = invariants.point_count, invariants.half_power_coeffs
 
     def counted(curve, k=1):
-        calls.append(k)
+        counts.append(k)
         return count(curve, k)
 
+    def counted_half(*args):
+        cartier.append(args)
+        return half(*args)
+
     monkeypatch.setattr(invariants, "point_count", counted)
-    code, doc, _ = run_json(capsys, "invariants", "--curve", "weng-g3", "--p", "59")
-    assert code == 0
-    assert sorted(calls) == [1, 2, 3]
-    assert doc["result"]["l_polynomial"] == [1, 0, 0, 0, 0, 0, 205379]
+    monkeypatch.setattr(invariants, "half_power_coeffs", counted_half)
+    for argv, ks in (
+        (["invariants", "--curve", "weng-g3", "--p", "59"], [1, 2, 3]),
+        (["verify", "--curve", "weng-g3", "--p", "59"], [1, 2, 3]),
+        # 12-bit p is past the slope edge at g = 3: no point counts
+        (["generate", "--curve", "weng-g3", "--type", "ordinary", "--bits", "12"], []),
+    ):
+        invariants.cartier_manin.cache_clear()  # no matrix left by an earlier command
+        counts.clear()
+        cartier.clear()
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert sorted(counts) == ks, argv
+        assert len(cartier) == 1, argv
+        if argv[0] == "invariants":
+            assert doc["result"]["l_polynomial"] == [1, 0, 0, 0, 0, 0, 205379]
 
 
 @pytest.mark.parametrize("argv, proofs", [
@@ -294,7 +312,7 @@ def test_verify_sweep_text(capsys):
 def make_imposter_catalog(tmp_path):
     # pair the cyclotomic quintic curve with the unrelated quartic field, so
     # predictions are wrong at primes where the two splitting laws disagree
-    data = json.loads(catalog_load().dump())
+    data = json.loads(SHIPPED)
     data["curves"] = [
         {
             "label": "imposter",
@@ -321,6 +339,23 @@ def test_verify_mismatch_exit_code(capsys, tmp_path):
     assert row["predicted"] == [2, 0]
     assert row["computed"] == [0, 2]
     assert row["match"] is False
+
+
+def test_malformed_catalog_json_envelope(capsys, tmp_path):
+    # int() would have truncated the coefficients to another curve, one with
+    # good reduction at 13 (the shipped wamelen-c1 has bad reduction there)
+    data = json.loads(SHIPPED)
+    data["curves"][0]["f_coeffs"] = [c + 0.5 for c in data["curves"][0]["f_coeffs"]]
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--curve", "wamelen-c1", "--p", "13",
+                         "--catalog", str(path), "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["command"] == "verify"
+    assert doc["error"]["type"] == "CatalogError"
+    assert doc["error"]["message"] == "curves[0]: f_coeffs must be a list of integers"
+    assert err.startswith("error:")
 
 
 def test_catalog_env_variable(capsys, tmp_path, monkeypatch):

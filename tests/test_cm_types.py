@@ -40,7 +40,7 @@ def test_from_exponents_round_trip():
     assert t.exponents == frozenset({0, 1, 2})
     assert t.g == 3
     assert len(t.extended) == 6
-    assert CMType.from_extended(t.extended) == t
+    assert CMType(t.bits) == t and hash(CMType(t.bits)) == hash(t)
 
 
 def test_from_exponents_validation():
@@ -105,7 +105,6 @@ def test_type_class_validation():
         TypeClass(t, 4)  # 6/4 is not an odd integer
     cls = TypeClass(t, 6)
     assert cls.primitive
-    assert cls.class_size == 6
 
 
 def test_counts_match_frozen_table():
@@ -180,7 +179,7 @@ def test_enumerate_counts_up_to_twelve():
 
 def test_enumerate_class_sizes_cover_all_strings():
     for g in range(1, 11):
-        assert sum(c.class_size for c in enumerate_classes(g)) == 1 << g
+        assert sum(c.period for c in enumerate_classes(g)) == 1 << g
 
 
 def test_enumerate_periods_have_odd_cofactor():
@@ -227,8 +226,10 @@ def test_equivalence_is_rotation_invariant():
         for cls in enumerate_classes(g):
             ext = cls.representative.extended
             for i in range(2 * g):
+                # a rotation of an extended string is one again
                 rot = ext[i:] + ext[:i]
-                t = CMType.from_extended(rot)
+                t = CMType(rot[:g])
+                assert t.extended == rot
                 assert t.canonicalize() == cls.representative.canonicalize()
 
 

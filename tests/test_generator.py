@@ -26,14 +26,41 @@ from cmreduce.ff_arith import kronecker
 from cmreduce.splitting import CyclicCMField
 
 
+SHIPPED = (resources.files("cmreduce") / "catalog.json").read_text()
+
+
 def test_shipped_catalog_labels(catalog):
-    assert catalog.curve_labels() == ["wamelen-c1", "wamelen-c2", "weng-g3", "cyclo-5"]
-    assert catalog.field_labels() == ["quartic-5-65-845", "sextic-5-2", "cyclotomic-5"]
+    assert list(catalog.curves) == ["wamelen-c1", "wamelen-c2", "weng-g3", "cyclo-5"]
+    assert list(catalog.fields) == ["quartic-5-65-845", "sextic-5-2", "cyclotomic-5"]
 
 
-def test_shipped_catalog_round_trips_byte_identical(catalog):
-    raw = (resources.files("cmreduce") / "catalog.json").read_bytes()
-    assert catalog.dump().encode() == raw
+def test_shipped_catalog_loads_every_key(catalog):
+    # every key of every raw entry reaches the loaded field or curve
+    raw = json.loads(SHIPPED)
+    assert raw["version"] == 1
+    assert list(catalog.fields) == [rf["label"] for rf in raw["fields"]]
+    for rf in raw["fields"]:
+        field = catalog.field(rf["label"])
+        assert set(rf) == {"label", "two_g", "conductor", "H_generators",
+                           "discriminant", "defining_polys"}
+        assert (field.label, field.two_g, field.conductor, field.discriminant) == (
+            rf["label"], rf["two_g"], rf["conductor"], rf["discriminant"])
+        assert field.defining_polys == tuple(map(tuple, rf["defining_polys"]))
+        # H_generators through the subgroup of units they generate
+        n, h = rf["conductor"], {1}
+        while (grown := h | {x * y % n for x in h for y in rf["H_generators"]}) != h:
+            h = grown
+        assert field.unit_subgroup == h
+    assert list(catalog.curves) == [rc["label"] for rc in raw["curves"]]
+    for rc in raw["curves"]:
+        rec = catalog.record(rc["label"])
+        assert set(rc) == {"label", "genus", "f_coeffs", "field_label", "provenance",
+                           "cm_type"}
+        assert (rec.label, rec.genus, rec.f_coeffs, rec.field.label, rec.provenance) == (
+            rc["label"], rc["genus"], tuple(rc["f_coeffs"]), rc["field_label"],
+            rc["provenance"])
+        # cm_type through its exponents
+        assert rec.cm_type.exponents == frozenset(rc["cm_type"])
 
 
 def test_shipped_field_data(catalog):
@@ -83,38 +110,68 @@ def test_cyclotomic_synthesis_rejects_bad_moduli(catalog):
         catalog.field("no-such-field")
 
 
+def load_variant(tmp_path, mutate):
+    data = json.loads(SHIPPED)
+    mutate(data)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(data))
+    return catalog_load(path)
+
+
 def test_catalog_load_rejects_malformed(tmp_path, catalog):
-    good = json.loads(catalog.dump())
-
-    def load_variant(mutate):
-        data = json.loads(catalog.dump())
-        mutate(data)
-        path = tmp_path / "cat.json"
-        path.write_text(json.dumps(data))
-        return catalog_load(path)
-
     with pytest.raises(CatalogError):
-        load_variant(lambda d: d.update(version=2))
+        load_variant(tmp_path, lambda d: d.update(version=2))
     with pytest.raises(CatalogError):
-        load_variant(lambda d: d["curves"].append(dict(d["curves"][0])))  # dup label
+        # a duplicate curve label
+        load_variant(tmp_path, lambda d: d["curves"].append(dict(d["curves"][0])))
     with pytest.raises(CatalogError):
-        load_variant(lambda d: d["curves"][0].pop("f_coeffs"))
+        load_variant(tmp_path, lambda d: d["curves"][0].pop("f_coeffs"))
     with pytest.raises(CatalogError):
-        load_variant(lambda d: d["fields"][0].update(two_g=3))
+        load_variant(tmp_path, lambda d: d["fields"][0].update(two_g=3))
     with pytest.raises(CatalogError):
-        load_variant(lambda d: d["curves"][0].update(field_label="missing"))
+        load_variant(tmp_path, lambda d: d["curves"][0].update(field_label="missing"))
     for bad_type in ("01", [0, "1"], [0, 2], [0, 1, 2], []):
         with pytest.raises(CatalogError, match=r"curves\[0\]"):
-            load_variant(lambda d: d["curves"][0].update(cm_type=bad_type))
-    # the unmutated dump still loads
-    path = tmp_path / "ok.json"
-    path.write_text(json.dumps(good))
-    assert catalog_load(path).curve_labels() == catalog.curve_labels()
+            load_variant(tmp_path, lambda d: d["curves"][0].update(cm_type=bad_type))
+    # the unmutated file still loads
+    assert list(load_variant(tmp_path, lambda d: None).curves) == list(catalog.curves)
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda d: d["curves"][0].update(genus="2"), id="string-genus"),
+    pytest.param(lambda d: d["curves"][0].update(genus=True), id="bool-genus"),
+    pytest.param(lambda d: d["fields"][0].update(two_g="4"), id="string-two_g"),
+    pytest.param(lambda d: d["fields"][0].update(conductor="65"), id="string-conductor"),
+    pytest.param(lambda d: d["fields"][0].update(discriminant="x"), id="text-discriminant"),
+    pytest.param(lambda d: d["fields"][0].update(discriminant="21125"),
+                 id="numeric-string-discriminant"),
+    pytest.param(lambda d: d["fields"][0].update(H_generators="19"),
+                 id="string-H_generators"),
+    pytest.param(lambda d: d["fields"][0].update(H_generators=[19.0]),
+                 id="float-generator"),
+    pytest.param(lambda d: d["fields"][0].update(defining_polys=[[845.5, 0, 65, 0, 1]]),
+                 id="float-poly-coefficient"),
+    # int() would truncate these to another curve
+    pytest.param(lambda d: d["curves"][0].update(
+        f_coeffs=[c + 0.5 for c in d["curves"][0]["f_coeffs"]]), id="float-f_coeffs"),
+    pytest.param(lambda d: d["curves"][0].update(f_coeffs=[True, 0, 0, 0, 0, 1]),
+                 id="bool-f_coeffs"),
+    pytest.param(lambda d: d["fields"][0].update(label=["quartic"]), id="list-field-label"),
+    pytest.param(lambda d: d["curves"][0].update(label=3), id="int-curve-label"),
+    pytest.param(lambda d: d["curves"][0].update(field_label=["quartic"]),
+                 id="list-field_label"),
+    pytest.param(lambda d: d["curves"][0].update(provenance=3), id="int-provenance"),
+    pytest.param(lambda d: d["curves"][0].update(genus=None), id="null-genus"),
+])
+def test_catalog_load_rejects_malformed_values(tmp_path, mutate):
+    # each malformed value names its entry instead of crashing or changing the curve
+    with pytest.raises(CatalogError, match=r"^(fields|curves)\[0\]: "):
+        load_variant(tmp_path, mutate)
 
 
 def test_cm_types_come_from_the_catalog_file(tmp_path, catalog):
     # a user's genus-2 curve named weng-g3 gets no CM type from the shipped one
-    data = json.loads(catalog.dump())
+    data = json.loads(SHIPPED)
     data["curves"] = [c for c in data["curves"] if c["label"] != "weng-g3"]
     data["curves"][0].update(label="weng-g3")
     data["curves"][0].pop("cm_type")
@@ -123,7 +180,6 @@ def test_cm_types_come_from_the_catalog_file(tmp_path, catalog):
     user = catalog_load(path)
     rec = user.record("weng-g3")
     assert (rec.genus, rec.cm_type) == (2, None)
-    assert "cm_type" not in user.to_data()["curves"][0]
     assert user.record("cyclo-5").cm_type.exponents == frozenset({0, 1})
 
 

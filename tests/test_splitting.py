@@ -215,7 +215,10 @@ def test_find_prime_by_num_primes():
 
 
 def test_find_prime_by_splitting_type():
-    p = find_prime(QUARTIC, SplittingType(2, 2), 32)
+    # a target is a number of primes or a Kronecker pair, not a SplittingType
+    with pytest.raises(DomainError, match="unsupported target"):
+        find_prime(QUARTIC, SplittingType(2, 2), 32)
+    p = find_prime(QUARTIC, 2, 32)
     assert split_by_residue(QUARTIC, p) == SplittingType(2, 2)
 
 
