@@ -97,10 +97,6 @@ class CMType:
         n = 2 * self.g
         return CMType.from_exponents(self.g, {(s + self.g) % n for s in self.exponents})
 
-    def __repr__(self):
-        s = "".join(map(str, self.extended))
-        return f"CMType({s!r})"
-
 
 @dataclass(frozen=True)
 class TypeClass:

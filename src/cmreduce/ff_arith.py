@@ -4,9 +4,11 @@ Arbitrary-precision number theory (primality, Kronecker symbol), trial
 division of small integers (factorize), dense polynomials over F_p
 (division, gcd, powers of x modulo a monic polynomial, distinct-degree
 factoring, irreducible moduli, coefficients of f^((p-1)/2)), and the rank of
-a matrix over F_p. Elements of F_p are plain ints, matrices are sequences of
-integer rows, and polynomials are dense little-endian coefficient lists:
-index = exponent, no trailing zeros above the degree.
+a matrix over F_p. Elements of F_p are plain ints, and polynomials are dense
+little-endian coefficient lists: index = exponent, no trailing zeros above the
+degree. Matrices are numpy int64 arrays, or whatever np.asarray reads as one
+(a tuple of row tuples, a list of rows), with entries in [0, p) once reduced;
+a product of two entries then stays below 2^62 for p < 2^31.
 
 is_prime keeps the Miller-Rabin verdict for the last n it ran on, so the
 public entries of one command, each checking its own p, pay for one proof.
@@ -311,24 +313,22 @@ def find_irreducible(p, k):
 # matrices over F_p
 
 
-def matrix_rank(rows, p):
-    """Rank over F_p of a matrix given as a sequence of integer rows."""
-    rows = [[c % p for c in r] for r in rows]
+def matrix_rank(a, p):
+    """Rank over F_p of an integer matrix: an int64 array or rows of ints.
+
+    Entries are reduced mod p once; each column then costs one pivot search
+    and one outer-product update of the rows below the pivot.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p
     rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
+    for col in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size:
+            piv = rank + nonzero[0]
+            a[[rank, piv]] = a[[piv, rank]]
+            a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
+            below = a[rank + 1 :, col:]  # zero left of col, as is the pivot row
+            below -= np.outer(below[:, 0], a[rank, col:])
+            below %= p
+            rank += 1
     return rank

@@ -90,22 +90,16 @@ def cartier_manin(curve):
     return tuple(tuple(c[i * p - j] for j in idx) for i in idx)
 
 
-def _matmul(a, b, p):
-    n = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(n)) % p for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def p_rank(curve):
     """Rank of A_{g-1} ... A_1 A_0 = A_0^g. Ranks of powers of a g x g matrix
     are constant from exponent g on, so squaring A_0 past g gives that rank."""
-    m = cartier_manin(curve)
+    # exact in int64 while g (p-1)^2 < 2^63: CARTIER_BUDGET gives
+    # (2g+1)(p-1)/2 < 2^26, so g (p-1)^2 < 2^54 / (4g) <= 2^52
+    m, p = np.array(cartier_manin(curve), dtype=np.int64), curve.p
     k = 1
     while k < curve.genus:
-        m, k = _matmul(m, m, curve.p), 2 * k
-    return matrix_rank(m, curve.p)
+        m, k = m @ m % p, 2 * k
+    return matrix_rank(m, p)
 
 
 def a_number(curve):
@@ -177,7 +171,7 @@ def point_count(curve, k=1):
         for _ in range(k - 1):
             basis.append(frob @ basis[-1] % p)
         basis = np.hstack(basis)
-        if matrix_rank(basis.tolist(), p) == k:
+        if matrix_rank(basis, p) == k:
             break
     # the nonzero squares mod p
     square = np.zeros(p, dtype=np.bool_)

@@ -59,11 +59,15 @@ class CyclicCMField:
 
     def __init__(self, label, two_g, discriminant, defining_polys,
                  conductor=None, h_generators=None):
+        numbers = [two_g, discriminant, conductor, *(h_generators or ())]
+        numbers += [c for q in defining_polys for c in q]
+        if any(type(x) is not int for x in numbers if x is not None):
+            raise DomainError("CyclicCMField: field data must be integers")
         if two_g < 2 or two_g % 2:
             raise DomainError("CyclicCMField: degree 2g must be even and >= 2")
         if discriminant == 0:
             raise DomainError("CyclicCMField: discriminant must be nonzero")
-        polys = tuple(tuple(int(c) for c in q) for q in defining_polys)
+        polys = tuple(map(tuple, defining_polys))
         if not polys:
             raise DomainError("CyclicCMField: at least one defining polynomial")
         for q in polys:
@@ -71,7 +75,7 @@ class CyclicCMField:
                 raise DomainError(f"CyclicCMField: {list(q)} is not monic nonconstant")
         self.label = label
         self.two_g = two_g
-        self.discriminant = int(discriminant)
+        self.discriminant = discriminant
         self.defining_polys = polys
         self.conductor = conductor
         if conductor is None:
@@ -183,7 +187,7 @@ def find_prime(field, target, bit_size, seed=0):
     want = None
     if isinstance(target, tuple) and len(target) == 2 and target[0] == "kronecker":
         want = target[1]
-        if want not in (-1, 1):
+        if type(want) is not int or want not in (-1, 1):
             raise DomainError("find_prime: Kronecker target must be -1 or 1")
         rng = random.Random(f"findprime:{seed}:{field.label}:K{want}:{bit_size}")
 
@@ -192,7 +196,7 @@ def find_prime(field, target, bit_size, seed=0):
 
         window = (hi - lo) // 2  # the odd numbers
         wanted = f"with ({field.discriminant}/p) = {want}"
-    elif isinstance(target, int):
+    elif type(target) is int:  # not a bool
         table = residue_class_table(field)
         if target not in table:
             raise PrimeSearchTimeout(

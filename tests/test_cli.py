@@ -358,6 +358,31 @@ def test_malformed_catalog_json_envelope(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_catalog_model_change_verifies_alike(capsys, tmp_path):
+    # weng-g3 with x -> (x + 1)/x: x^8 f((x + 1)/x), of degree 8 with leading
+    # coefficient f(1) = 29. The same curve, so every row matches the shipped
+    # model's, except at 29, where this model's leading coefficient vanishes
+    data = json.loads(SHIPPED)
+    data["curves"] = [{
+        "label": "weng-g3-moved",
+        "genus": 3,
+        "f_coeffs": [0, 1, 7, 28, 70, 119, 133, 91, 29],
+        "field_label": "sextic-5-2",
+        "provenance": "weng-g3 under x -> (x + 1)/x",
+        "cm_type": [0, 1, 2],
+    }]
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(data))
+    code, moved, _ = run_json(capsys, "verify", "--curve", "weng-g3-moved", "--pmax", "60",
+                              "--catalog", str(path))
+    assert code == 0
+    code, shipped, _ = run_json(capsys, "verify", "--curve", "weng-g3", "--pmax", "60")
+    assert code == 0
+    assert moved["result"]["bad_reduction"] == [2, 7, 29]
+    assert moved["result"]["rows"] == [r for r in shipped["result"]["rows"] if r["p"] != 29]
+    assert moved["result"]["mismatches"] == []
+
+
 def test_catalog_env_variable(capsys, tmp_path, monkeypatch):
     path = make_imposter_catalog(tmp_path)
     monkeypatch.setenv("CM_REDUCE_CATALOG", str(path))

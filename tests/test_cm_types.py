@@ -99,6 +99,15 @@ def test_conjugate_is_disjoint_complement():
             assert conj | t.exponents == frozenset(range(2 * g))
 
 
+def test_repr_round_trips():
+    t = CMType.from_exponents(3, {0, 1, 2})
+    assert repr(t) == "CMType(bits=(0, 0, 0))"
+    for g in range(1, 5):
+        for cls in enumerate_classes(g):
+            t = cls.representative
+            assert eval(repr(t)) == t
+
+
 def test_type_class_validation():
     t = CMType.from_exponents(3, {0, 1, 2})
     with pytest.raises(DomainError):

@@ -379,7 +379,7 @@ def naive_rank(rows, p):
 
 def test_matrix_rank_matches_gauss_jordan():
     rng = random.Random(42)
-    for p in (2, 3, 7, 1048573):  # the last is 2^20 - 3
+    for p in (2, 3, 7, 1048573, 2**31 - 1):  # 2^20 - 3, and the largest p int64 allows
         for _ in range(40):
             n = rng.randrange(1, 6)
             m = rng.randrange(1, 6)
@@ -389,6 +389,13 @@ def test_matrix_rank_matches_gauss_jordan():
                 c = rng.randrange(p)
                 rows.append([x + c * y for x, y in zip(rows[0], rows[-1])])
             assert matrix_rank(rows, p) == naive_rank(rows, p), (p, rows)
+    # square n x n products of n x r and r x n factors, up to 64 x 64
+    p = 1048573
+    for n, r in [(8, 3), (17, 16), (17, 17), (33, 1), (33, 20), (64, 40), (64, 63), (64, 64)]:
+        u = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+        v = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+        rows = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*v)] for row in u]
+        assert matrix_rank(rows, p) == naive_rank(rows, p) <= r, (n, r)
 
 
 def test_matrix_rank_edge_cases():

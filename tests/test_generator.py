@@ -1,9 +1,13 @@
 """Curve catalog, reduction at primes, generation targets, verification."""
 
 import json
+from dataclasses import replace
+from functools import lru_cache
 from importlib import resources
 
 import pytest
+from hypothesis import assume, example, given, reject, settings
+from hypothesis import strategies as st
 
 from cmreduce import (
     BadReductionError,
@@ -12,17 +16,22 @@ from cmreduce import (
     CMType,
     DomainError,
     InternalInconsistencyError,
+    RamifiedPrimeError,
+    ReducedCurve,
     ResourceLimitError,
     SplittingType,
     catalog_load,
     generate,
     generation_predicate,
     generator,
+    predict_for_genus,
     reduce_curve,
+    reduction_profile,
+    split_by_residue,
     sweep,
     verify,
 )
-from cmreduce.ff_arith import kronecker
+from cmreduce.ff_arith import is_prime, kronecker, poly_trim
 from cmreduce.splitting import CyclicCMField
 
 
@@ -366,3 +375,69 @@ def test_sweep_weng(catalog):
 def test_sweep_respects_cap(catalog):
     with pytest.raises(ResourceLimitError):
         sweep(catalog.record("cyclo-5"), 1 << 21)
+
+
+# curve label -> bound on p for its random models (p^g stays near 2^18)
+MODEL_CURVES = {"wamelen-c1": 400, "wamelen-c2": 400, "cyclo-5": 400,
+                "weng-g3": 60, "cyclo-7": 60}
+
+
+def model_change(f, g, a, b, c, d, e, p):
+    """e (cx + d)^(2g+2) f((ax + b)/(cx + d)) mod p, little-endian."""
+    out = [0] * (2 * g + 3)
+    for i, fi in enumerate(f):
+        term = [e * fi]
+        for lin, n in (([b, a], i), ([d, c], 2 * g + 2 - i)):
+            for _ in range(n):
+                term = [x * lin[0] + y * lin[1] for x, y in zip(term + [0], [0] + term)]
+        out = [x + y for x, y in zip(out, term)]
+    return poly_trim([x % p for x in out])
+
+
+@lru_cache(maxsize=None)
+def catalog_side(label, p):
+    """The catalog model's profile at p and the prediction from its field,
+    None for a ramified p."""
+    record = catalog_load().record(label)
+    profile = reduction_profile(reduce_curve(record, p))
+    try:
+        return profile, predict_for_genus(record.genus, split_by_residue(record.field, p))
+    except RamifiedPrimeError:
+        return profile, None
+
+
+@st.composite
+def models(draw):
+    label = draw(st.sampled_from(sorted(MODEL_CURVES)))
+    p = draw(st.sampled_from([q for q in range(3, MODEL_CURVES[label]) if is_prime(q)]))
+    a, b, c, d, e = (draw(st.integers(0, p - 1)) for _ in range(5))
+    assume((a * d - b * c) % p and e)
+    return label, p, a, b, c, d, e
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(("weng-g3", 13, 0, 1, 1, 0, 2))  # x -> 1/x keeps degree 7, a twist by 2
+@example(("cyclo-5", 11, 0, 1, 1, 0, 1))  # x -> 1/x takes degree 5 to 6
+@example(("wamelen-c1", 31, 2, 1, 1, 0, 3))  # f(2) = 0: x -> (2x + 1)/x, degree 6 to 5
+@given(models())
+def test_random_models_keep_the_reduction_type(model):
+    # a model change is an isomorphism and e a quadratic twist: the p-torsion
+    # invariants stay, L(T) becomes L(chi(e) T), and the field's prediction,
+    # which never sees the model, still matches
+    label, p, a, b, c, d, e = model
+    record = catalog_load().record(label)
+    g = record.genus
+    try:
+        want, prediction = catalog_side(label, p)
+    except BadReductionError:
+        reject()
+    f = [x % p for x in record.f_coeffs]
+    curve = ReducedCurve(p, model_change(f, g, a, b, c, d, e, p))
+    got = reduction_profile(curve)
+    assert replace(got, l_polynomial=None) == replace(want, l_polynomial=None)
+    chi = 1 if pow(e, (p - 1) // 2, p) == 1 else -1
+    assert list(got.l_polynomial) == [chi**i * x for i, x in enumerate(want.l_polynomial)]
+    if prediction is not None and prediction.profile is not None:
+        pinned = prediction.profile
+        assert (got.p_rank, got.a_number) == (pinned.p_rank, pinned.a_number)
+        assert pinned.slopes is None or pinned.slopes == got.slopes

@@ -10,8 +10,11 @@ definition, the p-rank against the zero slopes, and point counts over F_p
 and F_{p^k}, k <= 4, against brute force.
 """
 
+import operator
+import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -157,6 +160,51 @@ def test_worked_p_rank_a_number():
 def test_cartier_manin_frozen_large_p(p, coeffs, want):
     # f = x^v G(x^s): weng-g3 (s = 2) and wamelen-c1 (s = 1) pin H_p, x^7 - 1 needs no pin
     assert cartier_manin(ReducedCurve(p, coeffs)) == want
+
+
+@pytest.mark.parametrize("label, p, want", [
+    ("cyclo-211", 3, (0, 35)),
+    ("cyclo-401", 3, (0, 67)),
+    ("cyclo-401", 1009, (0, 97)),
+    ("cyclo-401", 3209, (200, 0)),  # 3209 = 1 mod 401: ordinary
+])
+def test_large_genus_ranks_frozen(catalog, label, p, want):
+    # g = 105 and 200: the squarings of A_0 run in int64, under a second in all
+    curve = ReducedCurve(p, catalog.record(label).f_coeffs)
+    assert (p_rank(curve), a_number(curve)) == want
+
+
+def matrix_power(a, e, p):
+    """a^e mod p for e >= 1 by square and multiply, in Python ints."""
+    def mul(x, y):
+        cols = list(zip(*y))
+        return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in x]
+
+    out = a
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, a)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(64, 1048573, 32, 0)
+@example(64, 3, 0, 1)
+@given(st.integers(1, 64), st.sampled_from([3, 1048573]), st.integers(0, 64),
+       st.integers(0, 2**32))
+def test_p_rank_is_rank_of_gth_power(g, p, s, seed):
+    # A_0 = a random block of size s and a nilpotent block, under one random
+    # permutation of rows and columns, so that rank A_0^g falls below rank A_0
+    s, rng = min(s, g), random.Random(seed)
+    a = [[rng.randrange(p) if i < s and j < s or s <= i < j else 0 for j in range(g)]
+         for i in range(g)]
+    perm = rng.sample(range(g), g)
+    a = [[a[i][j] for j in perm] for i in perm]
+    curve = SimpleNamespace(genus=g, p=p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "cartier_manin", lambda c: tuple(map(tuple, a)))
+        assert p_rank(curve) == naive_rank(matrix_power(a, g, p), p)
 
 
 def test_cartier_manin_caps_degree(monkeypatch):

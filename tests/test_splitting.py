@@ -73,6 +73,25 @@ def test_field_validation():
         CyclicCMField("x", 4, 5, [[1, 0, 0, 0, 1]], conductor=65, h_generators=[19, 2])
 
 
+@pytest.mark.parametrize("data", [
+    dict(two_g=4.0),
+    dict(two_g=True),
+    dict(discriminant=21125.7),  # int() would truncate it to 21125
+    dict(defining_polys=[[845, 0, 65.5, 0, 1]]),
+    dict(defining_polys=[[845, 0, 65, 0, True]]),
+    dict(conductor=65.0),
+    dict(h_generators=[19.0]),
+    dict(h_generators=[True]),
+])
+def test_field_refuses_non_integer_data(data):
+    # called directly, without the catalog loader's checks in front of it
+    args = dict(label="x", two_g=4, discriminant=21125,
+                defining_polys=[[845, 0, 65, 0, 1]], conductor=65, h_generators=[19])
+    CyclicCMField(**args)
+    with pytest.raises(DomainError, match="must be integers"):
+        CyclicCMField(**(args | data))
+
+
 def test_quartic_unit_subgroup():
     assert QUARTIC.g == 2
     assert QUARTIC.unit_subgroup == frozenset(
@@ -280,6 +299,11 @@ def test_find_prime_rejects_bad_arguments():
         find_prime(QUARTIC, 1, 1)
     with pytest.raises(DomainError):
         find_prime(QUARTIC, ("kronecker", 2), 32)
+    # a bool is an int to isinstance; True must not search as the count 1
+    with pytest.raises(DomainError, match="unsupported target"):
+        find_prime(QUARTIC, True, 20)
+    with pytest.raises(DomainError, match="must be -1 or 1"):
+        find_prime(QUARTIC, ("kronecker", True), 20)
     with pytest.raises(MissingDataError):
         find_prime(SEXTIC, 1, 32)  # residue targets need conductor data
 
