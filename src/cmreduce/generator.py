@@ -23,7 +23,7 @@ from .errors import (
     NotSquarefreeError,
     ResourceLimitError,
 )
-from .ff_arith import factorize, is_prime, kronecker
+from .ff_arith import is_prime, kronecker
 from .invariants import ReducedCurve, reduction_profile
 from .predictor import predict_for_genus
 from .splitting import (
@@ -31,6 +31,7 @@ from .splitting import (
     find_prime,
     split_by_factorization,
     split_by_residue,
+    unit_quotient_log,
 )
 
 CATALOG_VERSION = 1
@@ -82,30 +83,13 @@ class CMCurveRecord:
             raise CatalogError(f"{self.label}: CM type size does not match genus")
 
 
-def _primitive_root(n):
-    order = n - 1
-    prime_factors = factorize(order)
-    for g in range(2, n):
-        if all(pow(g, order // q, n) != 1 for q in prime_factors):
-            return g
-    raise InternalInconsistencyError(f"no primitive root mod {n}")
-
-
-def _cyclo_cm_type(ell):
-    # exponents are discrete logs of 1..g to the smallest primitive root
-    g = (ell - 1) // 2
-    root = _primitive_root(ell)
-    log = {}
-    x = 1
-    for e in range(ell - 1):
-        log[x] = e
-        x = x * root % ell
-    return CMType.from_exponents(g, {log[a] for a in range(1, g + 1)})
+def _check_cyclo(ell):
+    if ell < 3 or not is_prime(ell):
+        raise CatalogError(f"cyclotomic family needs an odd prime, got {ell}")
 
 
 def _cyclo_field(ell):
-    if ell < 3 or not is_prime(ell):
-        raise CatalogError(f"cyclotomic family needs an odd prime, got {ell}")
+    _check_cyclo(ell)
     disc = (-1) ** ((ell - 1) // 2) * ell ** (ell - 2)
     return CyclicCMField(
         label=f"cyclotomic-{ell}",
@@ -117,14 +101,17 @@ def _cyclo_field(ell):
 
 
 def _cyclo_record(ell, field):
+    _check_cyclo(ell)  # a catalog file may define the field cyclotomic-ell itself
+    # CM exponents: the discrete logs of 1..g to the least primitive root mod ell
+    g, log = (ell - 1) // 2, unit_quotient_log(ell, {1}, ell - 1)
     coeffs = tuple([-1] + [0] * (ell - 1) + [1])
     return CMCurveRecord(
         label=f"cyclo-{ell}",
-        genus=(ell - 1) // 2,
+        genus=g,
         f_coeffs=coeffs,
         field=field,
         provenance=f"cyclotomic family y^2 = x^l - 1, l = {ell}",
-        cm_type=_cyclo_cm_type(ell),
+        cm_type=CMType.from_exponents(g, {log[a] for a in range(1, g + 1)}),
     )
 
 

@@ -43,15 +43,17 @@ _EXT_CHUNK = 1 << 16
 @dataclass(frozen=True)
 class ReducedCurve:
     """Nonsingular y^2 = f(x) over F_p, p odd, deg f in {2g+1, 2g+2}. The
-    model is refused when p is 2 or not prime, when the leading coefficient
-    vanishes mod p (the model would drop degree), or when f mod p has no
-    genus or a repeated root."""
+    model is refused when p or a coefficient is not an int, when p is 2 or
+    not prime, when the leading coefficient vanishes mod p (the model would
+    drop degree), or when f mod p has no genus or a repeated root."""
 
     p: int
     coeffs: tuple
 
     def __post_init__(self):
         p = self.p
+        if any(type(x) is not int for x in (p, *self.coeffs)):  # bools and floats too
+            raise DomainError("ReducedCurve: p and the coefficients must be integers")
         if p == 2:
             raise BadReductionError(2, "characteristic 2 is excluded")
         if p < 3 or not is_prime(p):

@@ -42,6 +42,24 @@ def _coset_order(r, h, f):
     return e
 
 
+def unit_quotient_log(conductor, h, two_g):
+    """{unit r: i} in ascending r, with r in gamma^i * H for gamma the least unit whose
+    coset has order 2g: with H = {1} and a prime conductor, the discrete log."""
+    units = [r for r in range(1, conductor) if math.gcd(r, conductor) == 1]
+    if len(units) != two_g * len(h):
+        index = len(units) / len(h)
+        raise DomainError(f"CyclicCMField: subgroup has index {index}, expected {two_g}")
+    gamma = next((r for r in units if _coset_order(r, h, conductor) == two_g), None)
+    if gamma is None:
+        raise DomainError("CyclicCMField: unit quotient is not cyclic of order 2g")
+    log, x = {}, 1
+    for i in range(two_g):
+        for u in h:
+            log[x * u % conductor] = i
+        x = x * gamma % conductor
+    return {r: log[r] for r in units}
+
+
 @dataclass(frozen=True)
 class SplittingType:
     num_primes: int
@@ -87,17 +105,9 @@ class CyclicCMField:
             if any(math.gcd(g, conductor) != 1 for g in gens):
                 raise DomainError("CyclicCMField: subgroup generators must be units")
             h = _subgroup_closure(gens, conductor)
-            units = [r for r in range(1, conductor) if math.gcd(r, conductor) == 1]
-            if len(units) != two_g * len(h):
-                raise DomainError(
-                    f"CyclicCMField: subgroup has index {len(units) / len(h)},"
-                    f" expected {two_g}"
-                )
-            # {unit residue: inertia degree}; the quotient must be cyclic of
-            # order 2g for the field to be cyclic
-            self.inertia_degrees = {r: _coset_order(r, h, conductor) for r in units}
-            if max(self.inertia_degrees.values()) != two_g:
-                raise DomainError("CyclicCMField: unit quotient is not cyclic of order 2g")
+            log = unit_quotient_log(conductor, h, two_g)
+            # {unit residue: inertia degree}, the order of its coset
+            self.inertia_degrees = {r: two_g // math.gcd(i, two_g) for r, i in log.items()}
             self.unit_subgroup = h
 
     @property

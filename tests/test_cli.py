@@ -10,6 +10,7 @@ import pytest
 
 from cmreduce import (
     InternalInconsistencyError,
+    catalog_load,
     cm_types,
     count_E,
     count_E_primitive,
@@ -381,6 +382,42 @@ def test_catalog_model_change_verifies_alike(capsys, tmp_path):
     assert moved["result"]["bad_reduction"] == [2, 7, 29]
     assert moved["result"]["rows"] == [r for r in shipped["result"]["rows"] if r["p"] != 29]
     assert moved["result"]["mismatches"] == []
+
+
+def write_user_cyclotomic_catalog(tmp_path):
+    # fields named like the family's, with no conductor data
+    data = json.loads(SHIPPED)
+    data["fields"] += [
+        {"label": "cyclotomic-7", "two_g": 6, "discriminant": -16807,
+         "defining_polys": [[1] * 7]},
+        {"label": "cyclotomic-9", "two_g": 8, "discriminant": 3**10,
+         "defining_polys": [[1, 0, 0, 1, 0, 0, 1]]},
+    ]
+    path = tmp_path / "cyclo.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_user_cyclotomic_field_without_conductor(capsys, tmp_path):
+    # the CM type of cyclo-l comes from l itself, not from the conductor of
+    # whatever field the catalog file names cyclotomic-l
+    path = write_user_cyclotomic_catalog(tmp_path)
+    record = catalog_load(path).record("cyclo-7")
+    assert record.field.conductor is None
+    assert record.cm_type.exponents == frozenset({0, 1, 2})
+    code, out, _ = run(capsys, "verify", "--curve", "cyclo-7", "--p", "29",
+                       "--catalog", str(path))
+    assert code == 0
+    assert "1 verified, 0 mismatches" in out
+
+
+def test_user_cyclotomic_field_does_not_extend_the_family(capsys, tmp_path):
+    # a field named cyclotomic-9 does not make 9 a member of the family
+    path = write_user_cyclotomic_catalog(tmp_path)
+    code, _, err = run(capsys, "verify", "--curve", "cyclo-9", "--p", "29",
+                       "--catalog", str(path))
+    assert code == 3
+    assert "needs an odd prime, got 9" in err
 
 
 def test_catalog_env_variable(capsys, tmp_path, monkeypatch):

@@ -66,6 +66,16 @@ def test_reduced_curve_rejects_bad_input():
         ReducedCurve(3, [1, 0, 0, 1])  # x^3 + 1 = (x + 1)^3 mod 3
 
 
+@pytest.mark.parametrize("p, coeffs", [
+    (13, [0, 7.9, 0, 14, 0, 7, 0, 1.2]),  # int() would truncate it to weng-g3
+    (13, [0, 7, 0, 14, 0, 7, 0, True]),
+    (13.0, WENG),
+])
+def test_reduced_curve_refuses_non_integers(p, coeffs):
+    with pytest.raises(DomainError, match="must be integers"):
+        ReducedCurve(p, coeffs)
+
+
 def naive_poly_pow(f, e):
     acc = [1]
     for _ in range(e):

@@ -5,7 +5,9 @@ polynomials), and the Stickelberger parity must never disagree on an
 unramified non-index prime. Frozen spot values pin down each route alone.
 """
 
+import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -92,6 +94,47 @@ def test_field_refuses_non_integer_data(data):
         CyclicCMField(**(args | data))
 
 
+def test_field_refuses_a_unit_quotient_that_is_not_cyclic():
+    # (Z/15)^* is Z/2 x Z/4: order 8, but no unit of order 8
+    with pytest.raises(DomainError, match="not cyclic of order 2g"):
+        CyclicCMField("x", 8, 5, [[1, 0, 0, 0, 1]], conductor=15, h_generators=[])
+    with pytest.raises(DomainError, match=r"subgroup has index 8\.0, expected 4"):
+        CyclicCMField("x", 4, 5, [[1, 0, 0, 0, 1]], conductor=15, h_generators=[])
+
+
+ODD_PRIMES = [ell for ell in range(3, 200) if is_prime(ell)]
+
+
+@pytest.mark.parametrize("label", ["quartic-5-65-845", "sextic-5-2"]
+                         + [f"cyclotomic-{ell}" for ell in ODD_PRIMES])
+def test_inertia_degrees_match_brute_force(catalog, label):
+    # the inertia degree of r is the least e with r^e in H
+    field = catalog.field(label)
+    n, h = field.conductor, field.unit_subgroup
+    units = [r for r in range(1, n) if math.gcd(r, n) == 1]
+    want = {r: next(e for e in range(1, n) if pow(r, e, n) in h) for r in units}
+    assert field.inertia_degrees == want
+    assert list(field.inertia_degrees) == units  # ascending, as the tables list them
+
+
+@pytest.mark.parametrize("ell", ODD_PRIMES)
+def test_cyclotomic_cm_type_is_the_discrete_log(catalog, ell):
+    # exponents: the logs of 1..g to the least primitive root mod ell
+    root = next(a for a in range(2, ell)
+                if len({pow(a, k, ell) for k in range(ell - 1)}) == ell - 1)
+    log = {pow(root, k, ell): k for k in range(ell - 1)}
+    g = (ell - 1) // 2
+    want = {log[a] for a in range(1, g + 1)}
+    assert catalog.record(f"cyclo-{ell}").cm_type.exponents == frozenset(want)
+
+
+def test_large_cyclotomic_record_sets_up_quickly():
+    # one walk of the units mod 20011, not one per unit (22.6 s when it was)
+    start = time.perf_counter()
+    catalog_load().record("cyclo-20011")
+    assert time.perf_counter() - start < 3
+
+
 def test_quartic_unit_subgroup():
     assert QUARTIC.g == 2
     assert QUARTIC.unit_subgroup == frozenset(
@@ -114,7 +157,6 @@ def test_quartic_residue_table_partition():
     )
     # the three classes partition the units mod 65
     union = sorted(r for vals in table.values() for r in vals)
-    import math
     assert union == [r for r in range(1, 65) if math.gcd(r, 65) == 1]
 
 
