@@ -10,7 +10,7 @@ to the p-torsion label for genus up to 3.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from math import comb
 
 import numpy as np
 
@@ -31,13 +31,18 @@ from .ff_arith import (
     poly_xpow,
 )
 
-# largest p^k * max(k, 2)^2 counted, as each evaluation grows as k^2: every
-# field of up to 2^26 elements passes at k <= 2, and as 17 * 2^24 exceeds
+# largest p^k * max(k, 2)^2 counted. A count fills a p^k-byte table from
+# p^k / 2 values of x^2, then evaluates f at about p^k / k elements, k (deg f
+# + 1) float64 multiply-adds each. Each coset y + F_p pays up to k - 1
+# Frobenius steps of (k-1)^2, each evaluated one deg f - 1 products of k^2
+# in F_{p^k}, so at small p the cost grows as k^2 per element. Every field
+# of up to 2^26 elements passes at k <= 2, and as 17 * 2^24 exceeds
 # 3^13 * 13^2, every k <= g with p^g <= SLOPE_BUDGET passes
 POINT_COUNT_BUDGET = 17 << 24
 SLOPE_BUDGET = 1 << 21  # largest p^g for which slopes are computed
 CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
-_EXT_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # float64 entries in one product of a point count
+_EXACT = 1 << 53  # float64 sums of products stay exact below this
 
 
 @dataclass(frozen=True)
@@ -109,36 +114,43 @@ def a_number(curve):
     return curve.genus - matrix_rank(cartier_manin(curve), curve.p)
 
 
-def _ext_mul_step(acc, d, c, red, p, k):
-    # acc*x + c where x runs over the chunk and c is an F_p scalar; with
-    # entries in [0, p), each sum before the one reduction is below
-    # k p^2 + (k-1) k p^3 + p, which POINT_COUNT_BUDGET keeps under 2^53
-    n = d.shape[1]
-    s = np.zeros((2 * k - 1, n), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            s[i + j] += acc[i] * d[j]
-    r = s[:k]
-    for m in range(k, 2 * k - 1):
-        for i, v in enumerate(red[m - k]):
-            if v:
-                r[i] += s[m] * v
-    r[0] += c
-    return np.subtract(r, q := r // p * p, out=q)  # r % p, twice as fast for r >= 0
+def _ext_mul(x, y, mul, p):
+    # x y over F_{p^k} for float64 columns of k coordinates in [0, p), where
+    # column i k + j of mul is z^(i+j) mod the modulus; each sum is below
+    # k^2 p^3, which POINT_COUNT_BUDGET keeps under 2^53
+    r = (mul @ (x[:, None] * y).reshape(-1, x.shape[1])).astype(np.int64)
+    return r - r // p * p
+
+
+def _hasse(h, a, n, p):
+    # column j: the j-th Hasse derivative sum_m C(m, j) h_m a^(m-j) mod p
+    out = np.empty((a.size, n), dtype=np.int64)
+    for j in range(n):
+        acc = np.full(a.size, comb(len(h) - 1, j) * h[-1] % p)
+        for m in range(len(h) - 2, j - 1, -1):
+            acc *= a
+            acc += comb(m, j) * h[m] % p
+            acc -= acc // p * p
+        out[:, j] = acc
+    return out
 
 
 def point_count(curve, k=1):
     """#C(F_{p^k}) by exhaustive enumeration, including points at infinity.
 
-    F_{p^k} is F_p[z] modulo find_irreducible(p, k); at k = 1 the modulus is
-    z and nothing is reduced. Because f has F_p coefficients, f(x^p) = f(x)^p,
-    so whether f(x) is zero or a square is constant on each Frobenius orbit.
-    The count therefore evaluates f once per orbit: elements are enumerated
-    as base-p digit vectors over a normal basis theta, theta^p, ...,
-    theta^(p^(k-1)), in which Frobenius rotates the digits, and an element
-    is kept when its encoding is the least among its rotations, weighted by
-    its orbit size. The quadratic character of y = f(x) over F_{p^k} is that
-    of its norm y * y^p * ... * y^(p^(k-1)) over F_p.
+    F_{p^k} is F_p[z] modulo find_irreducible(p, k). Each x is a + y, a in
+    F_p, y in the span of z, ..., z^(k-1), and h(a + y) = sum_j h_j(a) y^j
+    for the Hasse derivatives h_j(a) in F_p, so over n cosets y + F_p the
+    values of h are one float64 product (p x (deg h + 1)) @ ((deg h + 1) x
+    k n), exact while (deg h + 1)(p - 1)^2 < 2^53 (a count past that is
+    refused). At k = 1 the one coset is y = 0 and the values are h_0(a),
+    with no product, in chunks of a. As f has F_p coefficients, f(x^p) =
+    f(x)^p, and Frobenius permutes the cosets, acting on y by its matrix
+    with the constant row and column removed; f is evaluated on the coset
+    whose code is the least of its images, weighted by its orbit size.
+    Whether f(x) is zero or a square is read from a table of the number of
+    square roots of each element of F_{p^k}, built by the same kernel from
+    h = x^2 over every coset and a <= (p - 1)/2.
     """
     p, coeffs = curve.p, curve.coeffs
     if k < 1:
@@ -148,68 +160,79 @@ def point_count(curve, k=1):
         raise ResourceLimitError(
             f"point_count: {p}^{k} * {max(k, 2)}^2 exceeds {POINT_COUNT_BUDGET}"
         )
+    terms = len(coeffs) if k > 1 else 1  # Hasse derivatives in each value
+    if terms * (p - 1) ** 2 >= _EXACT:
+        raise ResourceLimitError(f"point_count: {terms} * ({p} - 1)^2 is not exact in float64")
     modulus = find_irreducible(p, k)
-    # z^m mod the modulus for m = k .. 2k-2, little-endian
-    red = [poly_xpow(m, modulus, p) for m in range(k, 2 * k - 1)]
-    # Frobenius on the polynomial basis: column j is z^(jp) mod the modulus
-    frob = np.zeros((k, k), dtype=np.int64)
-    for j in range(k):
-        col = poly_xpow(j * p, modulus, p)
-        frob[: len(col), j] = col
 
-    def digits(ns):
-        d = np.empty((k, ns.size), dtype=np.int64)
-        for i in range(k - 1):
-            d[i] = ns % p
-            ns = ns // p
-        d[k - 1] = ns
-        return d
+    def zpow(e):  # z^e mod the modulus, k coordinates
+        c = poly_xpow(e, modulus, p)
+        return np.array(c + [0] * (k - len(c)))
 
-    # the normal basis: the first theta in encoding order whose conjugates
-    # theta, F theta, ..., F^(k-1) theta are independent; elements of F_p are
-    # their own conjugates, so at k > 1 the search starts at z
-    for n in count(1 if k == 1 else p):
-        basis = [digits(np.array([n]))]
-        for _ in range(k - 1):
-            basis.append(frob @ basis[-1] % p)
-        basis = np.hstack(basis)
-        if matrix_rank(basis, p) == k:
-            break
-    # the nonzero squares mod p
-    square = np.zeros(p, dtype=np.bool_)
-    for start in range(1, p // 2 + 1, _EXT_CHUNK):
-        x = np.arange(start, min(start + _EXT_CHUNK, p // 2 + 1), dtype=np.int64)
-        square[x * x % p] = True
-    top = p ** (k - 1)
+    mul = np.array([zpow(i + j) for i in range(k) for j in range(k)], dtype=float).T
+    # Frobenius on the cosets: column j - 1 is z^(jp) without its constant term
+    frob = np.array([zpow(j * p)[1:] for j in range(1, k)], dtype=float).T
+
+    def encode(d):  # base-p code of the digit rows of d
+        return sum(row * p**i for i, row in enumerate(d))
+
+    def digits(ns):  # the digits of coset codes, at z, ..., z^(k-1)
+        return ns // p ** np.arange(k - 1)[:, None] % p
+
+    cosets, block = p ** (k - 1), _CHUNK // k
+    image = np.empty(cosets, dtype=np.int64)  # the code of each coset's image
+    for c in range(0, cosets, block):
+        r = (frob @ digits(np.arange(c, min(c + block, cosets)))).astype(np.int64)
+        image[c : c + block] = encode(r - r // p * p)
+
+    def values(h, top, orbits):
+        # yields the codes of h(a + y), an (a, n) array for 0 <= a < top and
+        # n coset representatives y, with their orbit sizes; n keeps the
+        # a x k n product, the (deg h + 1) x k n powers and each k^2 x n
+        # outer product in _ext_mul within _CHUNK entries
+        n_h = len(h) if k > 1 else 1
+        span = top if k > 1 else _CHUNK
+        n = max(1, _CHUNK // (k * max(span, n_h, k)))
+        for a0 in range(0, top, span):
+            hasse = _hasse(h, np.arange(a0, min(a0 + span, top)), n_h, p)
+            hasse = hasse if k == 1 else hasse.astype(float)
+            for c0 in range(0, cosets, block):
+                ns = c = np.arange(c0, min(c0 + block, cosets))
+                # a coset is kept when none of its images is smaller; k / (the
+                # number of powers of Frobenius fixing it) is its orbit size
+                fixed = np.ones(ns.size, dtype=np.int64)
+                for _ in range(k - 1 if orbits else 0):
+                    c = image[c]
+                    fixed += c == ns
+                    keep = ns <= c
+                    ns, c, fixed = ns[keep], c[keep], fixed[keep]
+                d, weight = digits(ns), k // fixed
+                for s in range(0, weight.size, n):
+                    y = np.zeros((k, min(n, weight.size - s)))  # no constant term
+                    y[1:] = d[:, s : s + n]
+                    powers = np.zeros((n_h, k, y.shape[1]))
+                    powers[0, 0] = 1
+                    for j in range(1, n_h):  # y^1 = y needs no product
+                        powers[j] = acc = y if j == 1 else _ext_mul(acc, y, mul, p)
+                    if k == 1:
+                        v = hasse[:, :, None]
+                    else:
+                        v = (hasse @ powers.reshape(n_h, -1)).astype(np.int64)
+                        v -= v // p * p
+                        v = v.reshape(len(hasse), k, -1)
+                    yield encode(v.transpose(1, 0, 2)), weight[s : s + n]
+
+    # roots[x] = the number of square roots of x in F_{p^k}
+    roots = np.zeros(q, dtype=np.uint8)
+    for c, _ in values([0, 0, 1], (p + 1) // 2, False):
+        roots[c] = 2
+    roots[0] = 1
     total = 0
-    for start in range(0, q, _EXT_CHUNK):
-        ns = np.arange(start, min(start + _EXT_CHUNK, q), dtype=np.int64)
-        # n is kept when none of its rotations is smaller; k / (the number of
-        # rotations fixing n) is the size of its orbit
-        keep = np.ones(ns.size, dtype=np.bool_)
-        fixed = np.ones(ns.size, dtype=np.int8)
-        r = ns
-        for _ in range(k - 1):
-            r = r // p + r % p * top
-            keep &= ns <= r
-            fixed += r == ns
-        x = basis @ digits(ns[keep]) % p
-        # Horner, its first step lc * x + c_{d-1} needing no reduction rows
-        acc = x * coeffs[-1]
-        acc[0] += coeffs[-2]
-        acc %= p
-        for c in reversed(coeffs[:-2]):
-            acc = _ext_mul_step(acc, x, c, red, p, k)
-        norm, conj = acc, acc
-        for _ in range(k - 1):
-            conj = frob @ conj % p
-            norm = _ext_mul_step(norm, conj, 0, red, p, k)
-        zero = ~acc.any(axis=0)
-        total += int((k // fixed[keep]) @ (zero + 2 * square[norm[0]]))
+    for c, w in values(coeffs, p, True):
+        total += int(roots[c].sum(axis=0, dtype=np.int64) @ w)
     if curve.degree % 2:
         return total + 1
-    # every element of F_p is a square in F_{p^k} for even k
-    return total + (2 if k % 2 == 0 or square[coeffs[-1]] else 0)
+    return total + (2 if roots[coeffs[-1]] else 0)
 
 
 def l_polynomial(curve):

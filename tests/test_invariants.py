@@ -6,12 +6,14 @@ point counts against brute-force enumeration including small extension
 fields, and L-polynomials against both frozen worked values and forward
 prediction of counts the construction never consumed. Random squarefree
 curves drawn by hypothesis check the Cartier-Manin recurrence against the
-definition, the p-rank against the zero slopes, and point counts over F_p
-and F_{p^k}, k <= 4, against brute force.
+definition, the p-rank against the zero slopes, point counts over F_p and
+F_{p^k}, k <= 4, against brute force, and counts over F_{p^(g+1)} beyond
+brute-force reach against the L-polynomial built from k <= g.
 """
 
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -407,6 +409,55 @@ def test_point_count_even_degree_infinity():
     assert point_count(c, k) == brute_count([1, 1, 0, 0, 0, 0, 2], p, k, m)
 
 
+def _first_curve(p, d, lc):
+    # y^2 = lc x^d + a x + c for the least (a, c) that gives a curve at p
+    for a, c in product(range(p), repeat=2):
+        try:
+            return ReducedCurve(p, [c, a] + [0] * (d - 2) + [lc])
+        except BadReductionError:
+            pass
+
+
+@pytest.mark.parametrize("p, k", [(3, 3), (3, 6), (5, 5)])
+def test_point_count_where_p_divides_k(p, k):
+    # when p | k, F_p has no Frobenius-stable complement in F_{p^k}; the
+    # count runs on the cosets y + F_p, which Frobenius permutes regardless.
+    # Odd and even degree, each with a square and a non-square leading
+    # coefficient (2 mod 3 and 5 stays a non-square at odd k, not at k = 6)
+    m = irreducible_modulus(p, k)
+    for d, lc in product((5, 6), (1, 2)):
+        c = _first_curve(p, d, lc)
+        assert point_count(c, k) == brute_count(list(c.coeffs), p, k, m), (d, lc)
+
+
+def test_point_count_refuses_inexact_products(monkeypatch):
+    # each value is a float64 sum of deg f + 1 products of residues below p;
+    # a count whose sums could reach the exactness bound is refused up front
+    c = ReducedCurve(13, WENG)
+    monkeypatch.setattr(invariants, "_EXACT", 8 * 12**2)  # deg 7: 8 (p-1)^2
+    assert point_count(c) == brute_count(WENG, 13)  # k = 1 forms no product
+
+    def no_enumeration(*args):
+        raise AssertionError("point_count started on a refused field")
+
+    monkeypatch.setattr(invariants, "find_irreducible", no_enumeration)
+    with pytest.raises(ResourceLimitError):
+        point_count(c, 2)
+
+
+@pytest.mark.parametrize("label, p, k", [("wamelen-c1", 1447, 2), ("weng-g3", 3, 9)])
+def test_point_count_memory_is_table_plus_chunks(catalog, label, p, k):
+    # the table of square roots holds p^k bytes; everything else is chunked
+    curve = ReducedCurve(p, catalog.record(label).f_coeffs)
+    tracemalloc.start()
+    try:
+        point_count(curve, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p**k + (16 << 20)
+
+
 def test_point_count_budget(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("point_count started on a refused field")
@@ -504,6 +555,34 @@ def test_l_polynomial_predicts_unseen_counts():
     q2 = power_sums_from_l(L2, 4)
     for k in (3, 4):
         assert point_count(c2, k) == p2 ** k + 1 - q2[k - 1]
+
+
+# primes p with 2 * 10^4 < p^(g+1) <= 3 * 10^5 for each genus g: beyond
+# brute force, and the count over F_{p^(g+1)} spans several chunks
+UNSEEN_PRIMES = {
+    g: [p for p in range(3, 548) if is_prime(p) and 2 * 10**4 < p ** (g + 1) <= 3 * 10**5]
+    for g in (1, 2, 3)
+}
+
+
+@st.composite
+def unseen_count_curves(draw):
+    g = draw(st.sampled_from(sorted(UNSEEN_PRIMES)))
+    p = draw(st.sampled_from(UNSEEN_PRIMES[g]))
+    d = draw(st.sampled_from((2 * g + 1, 2 * g + 2)))
+    f = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    try:
+        return ReducedCurve(p, f + [draw(st.integers(1, p - 1))])
+    except BadReductionError:
+        reject()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(unseen_count_curves())
+def test_l_polynomial_predicts_counts_beyond_brute_force(curve):
+    p, g = curve.p, curve.genus
+    s = power_sums_from_l(l_polynomial(curve), g + 1)[g]
+    assert point_count(curve, g + 1) == p ** (g + 1) + 1 - s
 
 
 def test_l_polynomial_weil_bound():
