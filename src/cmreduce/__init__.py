@@ -55,7 +55,6 @@ from .invariants import (
 )
 from .predictor import (
     Prediction,
-    TypeNormOrbit,
     predict_for_genus,
     type_norm_orbit,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "SplittingType",
     "SweepResult",
     "TypeClass",
-    "TypeNormOrbit",
     "VerifyReport",
     "a_number",
     "cartier_manin",

@@ -267,7 +267,9 @@ def cmd_generate(args):
             f" group scheme {v.group_scheme}"
         )
     else:
-        lines.append("verified: skipped (p >= 2^20)")
+        cap = generator.VERIFY_CAP
+        bound = f"2^{cap.bit_length() - 1}" if cap & (cap - 1) == 0 else cap
+        lines.append(f"verified: skipped (p >= {bound})")
     return result, lines, EXIT_OK
 
 

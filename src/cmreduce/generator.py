@@ -365,11 +365,7 @@ def generate(record, target_type, bit_size, seed=0):
     verified = None
     if p < VERIFY_CAP:
         verified = reduction_profile(curve)
-        want = prediction.profile
-        if want is not None and (verified.p_rank, verified.a_number) != (
-            want.p_rank,
-            want.a_number,
-        ):
+        if prediction.matches(verified) is False:
             raise InternalInconsistencyError(
                 f"{record.label} at p = {p}: computed ({verified.p_rank},"
                 f" {verified.a_number}) contradicts the prediction"
@@ -396,33 +392,20 @@ def verify(record, p):
     """
     if p >= VERIFY_CAP:
         raise ResourceLimitError(f"verify: p must be below {VERIFY_CAP}")
-    curve = reduce_curve(record, p)
-    profile = reduction_profile(curve)
+    profile = reduction_profile(reduce_curve(record, p))
     notes = []
     split = _split_auto(record.field, p)
-    prediction = None
-    match = None
+    prediction = match = None
     if split is None:
         notes.append("p is ramified or an index divisor; prediction skipped")
     else:
         prediction = predict_for_genus(record.genus, split)
-        if prediction.profile is None:
+        match = prediction.matches(profile)
+        if match is None:
             notes.append("no covering reduction theorem for this splitting")
-        else:
-            want = prediction.profile
-            match = (profile.p_rank, profile.a_number) == (
-                want.p_rank,
-                want.a_number,
-            )
-            if prediction.certainty == "partial":
-                notes.append("prediction is partial: only (f, a) is pinned")
-    half = Fraction(1, 2)
-    if (
-        profile.slopes is not None
-        and profile.p_rank == 0
-        and profile.a_number < curve.genus
-        and all(s == half for s in profile.slopes)
-    ):
+        elif prediction.certainty == "partial":
+            notes.append("prediction is partial: only (f, a) is pinned")
+    if profile.slopes is not None and profile.type_name == "supersingular non-superspecial":
         notes.append(
             "supersingular outlier: slopes all 1/2 without superspeciality"
         )

@@ -4,7 +4,8 @@ Everything here is computed from the curve equation alone: the Cartier-Manin
 matrix gives the p-rank and a-number, exhaustive point counts over small
 extensions give the L-polynomial, and the Newton polygon falls out of the
 L-polynomial. The group-scheme classifier maps (p-rank, a-number, slopes)
-to the p-torsion label for genus up to 3.
+to the p-torsion label at every genus; the predictor names its profiles
+through the same classifier.
 """
 
 from dataclasses import dataclass, replace
@@ -304,29 +305,34 @@ class ReductionProfile:
 
 
 _HALF = Fraction(1, 2)
-
-
-def _slope_kind(slopes, g):
-    if slopes is None:
-        return None
-    if all(s == _HALF for s in slopes):
-        return "half"
-    if g == 3 and sorted(slopes) == [Fraction(1, 3)] * 3 + [Fraction(2, 3)] * 3:
-        return "thirds"
-    return "other"
+_THIRDS = [Fraction(1, 3)] * 3 + [Fraction(2, 3)] * 3
+# the genus-2 and genus-3 strata strictly between ordinary and superspecial
+_STRATA = {
+    (2, 1, 1): "L + I_{1,1}",
+    (2, 0, 1): "I_{2,1}",
+    (3, 2, 1): "L^2 + I_{1,1}",
+    (3, 1, 1): "L + I_{2,1}",
+    (3, 1, 2): "L + I_{1,1}^2",
+    (3, 0, 1): "I_{3,1}",
+    (3, 0, 2): "I_{3,2} or I_{1,1} + I_{2,1}",
+}
 
 
 def classify_group_scheme(g, f, a, slopes=None):
-    """p-torsion label and stratum name from (p-rank, a-number, slopes).
+    """p-torsion label and stratum name from (p-rank, a-number, slopes), at
+    every genus g >= 1.
 
-    Follows the genus 1..3 stratification tables. Slopes are only consulted
-    where they carry extra information: for g = 3, p-rank 0, they separate
-    the mixed strata from the supersingular ones, and the pair (0, 2) with
-    all slopes 1/2 stays ambiguous by design.
+    The ends are named by formula: f = g is L^g, ordinary, and a = g is
+    I_{1,1}^g, superspecial ("L", "I_{1,1}" and supersingular at g = 1).
+    Between them the genus-2 and genus-3 strata come from a table, and any
+    other stratum is "unclassified (genus g)". The stratum name is
+    non-ordinary for f > 0. At f = 0 it is supersingular non-superspecial
+    when every slope is 1/2 or g = 2, mixed when the slopes are known and
+    not all 1/2 (which also separates I_{3,2} at (3, 0, 2); the slopes there
+    must be 1/3 and 2/3), and "mixed or supersingular" without slopes. So
+    (3, 0, 2) with all slopes 1/2 stays ambiguous by design.
     """
-    if g > 3:
-        raise DomainError(f"classify_group_scheme: no table for genus {g}")
-    if g < 1 or not (0 <= f <= g) or not (1 <= a + f <= g) or a < 0:
+    if g < 1 or f < 0 or a < 0 or f + a > g or (a == 0) != (f == g):
         raise DomainError(f"classify_group_scheme: invalid (g, f, a) = ({g}, {f}, {a})")
     if slopes is not None:
         slopes = tuple(Fraction(s) for s in slopes)
@@ -336,54 +342,25 @@ def classify_group_scheme(g, f, a, slopes=None):
             raise DomainError(
                 "classify_group_scheme: zero-slope multiplicity disagrees with p-rank"
             )
-    kind = _slope_kind(slopes, g)
-    table = {
-        (1, 1, 0): ("L", "ordinary"),
-        (1, 0, 1): ("I_{1,1}", "supersingular"),
-        (2, 2, 0): ("L^2", "ordinary"),
-        (2, 1, 1): ("L + I_{1,1}", "non-ordinary"),
-        (2, 0, 1): ("I_{2,1}", "supersingular non-superspecial"),
-        (2, 0, 2): ("I_{1,1}^2", "superspecial"),
-        (3, 3, 0): ("L^3", "ordinary"),
-        (3, 2, 1): ("L^2 + I_{1,1}", "non-ordinary"),
-        (3, 1, 1): ("L + I_{2,1}", "non-ordinary"),
-        (3, 1, 2): ("L + I_{1,1}^2", "non-ordinary"),
-        (3, 0, 3): ("I_{1,1}^3", "superspecial"),
-    }
-    if (g, f, a) in table:
-        scheme, name = table[(g, f, a)]
-        return ReductionProfile(f, a, slopes, scheme, name)
-    if g == 3 and f == 0 and a == 1:
-        if kind == "other":
-            raise DomainError("classify_group_scheme: impossible slopes for (3, 0, 1)")
-        if kind == "half":
-            return ReductionProfile(f, a, slopes, "I_{3,1}", "supersingular non-superspecial")
-        name = "mixed" if kind == "thirds" else "mixed or supersingular"
-        return ReductionProfile(f, a, slopes, "I_{3,1}", name)
-    if g == 3 and f == 0 and a == 2:
-        if kind == "other":
-            raise DomainError("classify_group_scheme: impossible slopes for (3, 0, 2)")
-        if kind == "thirds":
-            return ReductionProfile(f, a, slopes, "I_{3,2}", "mixed")
-        scheme = "I_{3,2} or I_{1,1} + I_{2,1}"
-        if kind == "half":
-            return ReductionProfile(f, a, slopes, scheme, "supersingular non-superspecial")
-        return ReductionProfile(f, a, slopes, scheme, "mixed or supersingular")
-    raise DomainError(f"classify_group_scheme: no stratum with (g, f, a) = ({g}, {f}, {a})")
-
-
-def _coarse_profile(g, f, a, slopes):
     if f == g:
-        name = "ordinary"
+        scheme, name = ("L" if g == 1 else f"L^{g}"), "ordinary"
     elif a == g:
-        name = "superspecial"
-    elif slopes is not None and all(s == _HALF for s in slopes):
-        name = "supersingular non-superspecial"
-    elif f == 0:
-        name = "mixed or supersingular"
+        scheme = "I_{1,1}" if g == 1 else f"I_{{1,1}}^{g}"
+        name = "supersingular" if g == 1 else "superspecial"
     else:
-        name = "non-ordinary"
-    return ReductionProfile(f, a, slopes, f"unclassified (genus {g})", name)
+        scheme = _STRATA.get((g, f, a), f"unclassified (genus {g})")
+        if f:
+            name = "non-ordinary"
+        elif g == 2 or slopes is not None and all(s == _HALF for s in slopes):
+            name = "supersingular non-superspecial"
+        elif slopes is None:
+            name = "mixed or supersingular"
+        elif g == 3 and sorted(slopes) != _THIRDS:
+            raise DomainError(f"classify_group_scheme: impossible slopes for (3, 0, {a})")
+        else:
+            name = "mixed"
+            scheme = "I_{3,2}" if (g, a) == (3, 2) else scheme
+    return ReductionProfile(f, a, slopes, scheme, name)
 
 
 def reduction_profile(curve):
@@ -404,8 +381,5 @@ def reduction_profile(curve):
             raise InternalInconsistencyError(
                 f"p-rank {f} disagrees with zero-slope multiplicity at p = {curve.p}"
             )
-    if curve.genus <= 3:
-        profile = classify_group_scheme(curve.genus, f, a, slopes)
-    else:
-        profile = _coarse_profile(curve.genus, f, a, slopes)
+    profile = classify_group_scheme(curve.genus, f, a, slopes)
     return replace(profile, l_polynomial=lpoly)

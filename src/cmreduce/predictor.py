@@ -5,7 +5,8 @@ theorems (Deuring for g = 1, Goren for cyclic quartic fields, the sextic and
 general-degree theorems) read only m, the number of primes above p: m = 2g
 gives ordinary reduction and m = g superspecial. Between those ends one small
 table holds the rest, and Deuring's criterion also covers ramified p at
-g = 1. Alongside sits the type-norm combinatorics the proofs run on.
+g = 1. Predicted profiles are named by the classifier that names computed
+ones. Alongside sits the type-norm combinatorics the proofs run on.
 """
 
 from dataclasses import dataclass
@@ -35,13 +36,13 @@ class Prediction:
         if (self.profile is None) != (self.certainty == "undetermined"):
             raise DomainError("Prediction: profile exactly when determined")
 
-
-def _profile(g, f, a, slopes):
-    if g <= 3:
-        return classify_group_scheme(g, f, a, slopes)
-    if f == g:
-        return ReductionProfile(g, 0, slopes, f"L^{g}", "ordinary")
-    return ReductionProfile(0, g, slopes, f"I_{{1,1}}^{g}", "superspecial")
+    def matches(self, profile):
+        """Whether a computed profile has the pinned (p-rank, a-number); None
+        when the prediction is undetermined."""
+        want = self.profile
+        if want is None:
+            return None
+        return (profile.p_rank, profile.a_number) == (want.p_rank, want.a_number)
 
 
 def predict_for_genus(g, split):
@@ -53,7 +54,7 @@ def predict_for_genus(g, split):
     half = (Fraction(1, 2),) * (2 * g)
     if split.ramified:
         if g == 1:
-            return Prediction(_profile(1, 0, 1, half), "exact", source)
+            return Prediction(classify_group_scheme(1, 0, 1, half), "exact", source)
         raise RamifiedPrimeError("predict_for_genus: prediction excludes ramified primes")
     m = split.num_primes
     if m * split.inertia_degree != 2 * g:
@@ -62,23 +63,14 @@ def predict_for_genus(g, split):
         )
     if m == 2 * g:
         slopes = (Fraction(0),) * g + (Fraction(1),) * g
-        return Prediction(_profile(g, g, 0, slopes), "exact", source)
+        return Prediction(classify_group_scheme(g, g, 0, slopes), "exact", source)
     if m == g:
-        return Prediction(_profile(g, 0, g, half), "exact", source)
+        return Prediction(classify_group_scheme(g, 0, g, half), "exact", source)
     certainty = _INTERIOR.get((g, m))
     if certainty is None:
         return Prediction(None, "undetermined", source)
     slopes = half if certainty == "exact" else None
-    return Prediction(_profile(g, 0, m, slopes), certainty, source)
-
-
-@dataclass(frozen=True)
-class TypeNormOrbit:
-    exponents: tuple
-
-    @property
-    def is_constant(self):
-        return len(set(self.exponents)) == 1
+    return Prediction(classify_group_scheme(g, 0, m, slopes), certainty, source)
 
 
 def type_norm_orbit(phi, num_primes):
@@ -86,7 +78,7 @@ def type_norm_orbit(phi, num_primes):
 
     With the primes indexed so the field automorphism shifts i to i+1 mod
     num_primes, entry j counts reflex exponents congruent to j mod num_primes.
-    A constant vector means the norm is a power of (p), which forces the
+    A constant tuple means the norm is a power of (p), which forces the
     p-torsion to be local-local.
     """
     n = 2 * phi.g
@@ -96,4 +88,4 @@ def type_norm_orbit(phi, num_primes):
     counts = [0] * num_primes
     for s in refl:
         counts[s % num_primes] += 1
-    return TypeNormOrbit(tuple(counts))
+    return tuple(counts)

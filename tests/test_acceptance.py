@@ -198,7 +198,7 @@ def test_acceptance_8_property_suites():
         assert pairs > 60
 
         phi = CMType.from_exponents(3, {0, 1, 2})
-        assert type_norm_orbit(phi, 6).exponents == (1, 0, 0, 0, 1, 1)
-        assert type_norm_orbit(phi, 3).exponents == (1, 1, 1)
-        assert type_norm_orbit(phi, 3).is_constant
-        assert type_norm_orbit(phi, 2).exponents == (2, 1)
+        assert type_norm_orbit(phi, 6) == (1, 0, 0, 0, 1, 1)
+        assert type_norm_orbit(phi, 3) == (1, 1, 1)
+        assert len(set(type_norm_orbit(phi, 3))) == 1
+        assert type_norm_orbit(phi, 2) == (2, 1)

@@ -15,6 +15,7 @@ from cmreduce import (
     count_E,
     count_E_primitive,
     ff_arith,
+    generator,
     invariants,
 )
 from cmreduce.cli import main
@@ -157,6 +158,17 @@ def test_invariants_json(capsys):
     assert res["type_name"] == "superspecial"
 
 
+def test_invariants_names_mixed_slopes_above_genus_3(capsys):
+    # slopes 1/5 and 4/5 rule out supersingular
+    code, doc, _ = run_json(capsys, "invariants", "--curve", "cyclo-11", "--p", "3")
+    assert code == 0
+    res = doc["result"]
+    assert res["slopes"] == ["1/5"] * 5 + ["4/5"] * 5
+    assert (res["group_scheme"], res["type_name"]) == ("unclassified (genus 5)", "mixed")
+    code, out, _ = run(capsys, "invariants", "--curve", "cyclo-11", "--p", "3")
+    assert "group scheme unclassified (genus 5) (mixed)" in out
+
+
 def test_invariants_text_formats_l_polynomial(capsys):
     code, out, _ = run(capsys, "invariants", "--curve", "weng-g3", "--p", "43")
     assert code == 0
@@ -288,6 +300,20 @@ def test_generate_text_skips_verification_for_large_p(capsys):
                        "--type", "ssing-non-sspec", "--bits", "24")
     assert code == 0
     assert "verified: skipped" in out
+
+
+def test_generate_text_names_the_verify_cap(capsys, monkeypatch):
+    argv = ("generate", "--curve", "cyclo-5", "--type", "ordinary", "--bits", "24")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "verified: skipped (p >= 2^20)" in out
+    monkeypatch.setattr(generator, "VERIFY_CAP", 1 << 10)
+    code, out, _ = run(capsys, *argv[:-1], "12")
+    assert code == 0
+    assert "verified: skipped (p >= 2^10)" in out
+    monkeypatch.setattr(generator, "VERIFY_CAP", 1000)
+    code, out, _ = run(capsys, *argv[:-1], "12")
+    assert "verified: skipped (p >= 1000)" in out
 
 
 def test_verify_single_prime_json(capsys):

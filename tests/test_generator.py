@@ -344,6 +344,28 @@ def test_verify_worked_primes(catalog):
     assert any("outlier" in n for n in r.notes)
 
 
+@pytest.mark.parametrize("label, p", [
+    ("cyclo-11", 23), ("cyclo-11", 43), ("cyclo-11", 67), ("cyclo-11", 89),
+    ("cyclo-13", 53), ("cyclo-13", 79), ("cyclo-13", 103),
+])
+def test_verify_names_the_predicted_profile_above_genus_3(catalog, label, p):
+    # p = 1 mod l splits completely (ordinary), p = -1 mod l is superspecial
+    r = verify(catalog.record(label), p)
+    want = r.prediction.profile
+    assert r.match is True and r.prediction.certainty == "exact"
+    assert (r.profile.group_scheme, r.profile.type_name) == (want.group_scheme, want.type_name)
+    assert "unclassified" not in r.profile.group_scheme
+
+
+@pytest.mark.parametrize("bits", [8, 9, 10])
+@pytest.mark.parametrize("target", ["ordinary", "superspecial"])
+def test_generate_names_the_predicted_profile_above_genus_3(catalog, target, bits):
+    res = generate(catalog.record("cyclo-11"), target, bits)
+    got, want = res.verified_profile, res.prediction.profile
+    assert (got.group_scheme, got.type_name) == (want.group_scheme, want.type_name)
+    assert want.type_name == target
+
+
 def test_verify_skips_prediction_without_splitting(catalog):
     # good reduction at a ramified prime: profile computed, no prediction
     quartic = catalog.field("quartic-5-65-845")

@@ -623,19 +623,90 @@ def test_newton_slopes_domain():
         newton_slopes([1], 3)
 
 
-def test_classify_plain_table():
-    assert classify_group_scheme(1, 1, 0).group_scheme == "L"
-    assert classify_group_scheme(1, 0, 1).type_name == "supersingular"
-    assert classify_group_scheme(2, 2, 0).group_scheme == "L^2"
-    assert classify_group_scheme(2, 1, 1).group_scheme == "L + I_{1,1}"
-    assert classify_group_scheme(2, 0, 1).type_name == "supersingular non-superspecial"
-    assert classify_group_scheme(2, 0, 2) == classify_group_scheme(2, 0, 2)
-    assert classify_group_scheme(2, 0, 2).type_name == "superspecial"
-    assert classify_group_scheme(3, 3, 0).group_scheme == "L^3"
-    assert classify_group_scheme(3, 2, 1).group_scheme == "L^2 + I_{1,1}"
-    assert classify_group_scheme(3, 1, 1).group_scheme == "L + I_{2,1}"
-    assert classify_group_scheme(3, 1, 2).group_scheme == "L + I_{1,1}^2"
-    assert classify_group_scheme(3, 0, 3).type_name == "superspecial"
+H = Fraction(1, 2)
+
+
+def _slopes(g, f, kind):
+    """Slopes of one kind: unknown, all 1/2, 1/3 and 2/3 (g = 3), or f zero
+    and f unit slopes around 1/2."""
+    return {"none": None, "halves": (H,) * (2 * g),
+            "thirds": (Fraction(1, 3),) * 3 + (Fraction(2, 3),) * 3,
+            "zeros": (0,) * f + (H,) * (2 * g - 2 * f) + (1,) * f}[kind]
+
+
+# Every valid (g <= 3, f, a) with unknown slopes and each kind of slopes it
+# admits, frozen from the genus-1..3 tables this classifier replaced:
+# (g, f, a, slopes, group scheme, type name).
+CLASSIFY_FROZEN = [
+    (1, 0, 1, "none", "I_{1,1}", "supersingular"),
+    (1, 0, 1, "halves", "I_{1,1}", "supersingular"),
+    (1, 1, 0, "none", "L", "ordinary"),
+    (1, 1, 0, "zeros", "L", "ordinary"),
+    (2, 0, 1, "none", "I_{2,1}", "supersingular non-superspecial"),
+    (2, 0, 1, "halves", "I_{2,1}", "supersingular non-superspecial"),
+    (2, 0, 2, "none", "I_{1,1}^2", "superspecial"),
+    (2, 0, 2, "halves", "I_{1,1}^2", "superspecial"),
+    (2, 1, 1, "none", "L + I_{1,1}", "non-ordinary"),
+    (2, 1, 1, "zeros", "L + I_{1,1}", "non-ordinary"),
+    (2, 2, 0, "none", "L^2", "ordinary"),
+    (2, 2, 0, "zeros", "L^2", "ordinary"),
+    (3, 0, 1, "none", "I_{3,1}", "mixed or supersingular"),
+    (3, 0, 1, "halves", "I_{3,1}", "supersingular non-superspecial"),
+    (3, 0, 1, "thirds", "I_{3,1}", "mixed"),
+    (3, 0, 2, "none", "I_{3,2} or I_{1,1} + I_{2,1}", "mixed or supersingular"),
+    (3, 0, 2, "halves", "I_{3,2} or I_{1,1} + I_{2,1}", "supersingular non-superspecial"),
+    (3, 0, 2, "thirds", "I_{3,2}", "mixed"),
+    (3, 0, 3, "none", "I_{1,1}^3", "superspecial"),
+    (3, 0, 3, "halves", "I_{1,1}^3", "superspecial"),
+    (3, 0, 3, "thirds", "I_{1,1}^3", "superspecial"),
+    (3, 1, 1, "none", "L + I_{2,1}", "non-ordinary"),
+    (3, 1, 1, "zeros", "L + I_{2,1}", "non-ordinary"),
+    (3, 1, 2, "none", "L + I_{1,1}^2", "non-ordinary"),
+    (3, 1, 2, "zeros", "L + I_{1,1}^2", "non-ordinary"),
+    (3, 2, 1, "none", "L^2 + I_{1,1}", "non-ordinary"),
+    (3, 2, 1, "zeros", "L^2 + I_{1,1}", "non-ordinary"),
+    (3, 3, 0, "none", "L^3", "ordinary"),
+    (3, 3, 0, "zeros", "L^3", "ordinary"),
+]
+
+
+@pytest.mark.parametrize("g, f, a, kind, scheme, name", CLASSIFY_FROZEN,
+                         ids=["-".join(map(str, row[:4])) for row in CLASSIFY_FROZEN])
+def test_classify_plain_table(g, f, a, kind, scheme, name):
+    slopes = _slopes(g, f, kind)
+    r = classify_group_scheme(g, f, a, slopes)
+    assert (r.group_scheme, r.type_name) == (scheme, name)
+    assert (r.p_rank, r.a_number, r.l_polynomial) == (f, a, None)
+    assert r.slopes == (None if slopes is None else tuple(map(Fraction, slopes)))
+
+
+def test_classify_plain_table_covers_every_valid_triple():
+    valid = set()
+    for g, f, a in product(range(4), range(-1, 5), range(-1, 5)):
+        try:
+            classify_group_scheme(g, f, a)
+        except DomainError:
+            continue
+        valid.add((g, f, a))
+    assert valid == {row[:3] for row in CLASSIFY_FROZEN}
+
+
+@pytest.mark.parametrize("g, f, a, slopes, scheme, name", [
+    (4, 4, 0, None, "L^4", "ordinary"),
+    (4, 4, 0, _slopes(4, 4, "zeros"), "L^4", "ordinary"),
+    (4, 0, 4, _slopes(4, 0, "halves"), "I_{1,1}^4", "superspecial"),
+    (4, 1, 2, _slopes(4, 1, "zeros"), "unclassified (genus 4)", "non-ordinary"),
+    (4, 0, 2, _slopes(4, 0, "halves"), "unclassified (genus 4)",
+     "supersingular non-superspecial"),
+    (4, 0, 2, (Fraction(1, 4),) * 4 + (Fraction(3, 4),) * 4, "unclassified (genus 4)", "mixed"),
+    (4, 0, 3, None, "unclassified (genus 4)", "mixed or supersingular"),
+    (5, 5, 0, None, "L^5", "ordinary"),
+    (5, 0, 5, None, "I_{1,1}^5", "superspecial"),
+    (5, 0, 2, (Fraction(1, 5),) * 5 + (Fraction(4, 5),) * 5, "unclassified (genus 5)", "mixed"),
+])
+def test_classify_above_genus_3(g, f, a, slopes, scheme, name):
+    r = classify_group_scheme(g, f, a, slopes)
+    assert (r.group_scheme, r.type_name) == (scheme, name)
 
 
 def test_classify_needs_slopes_for_deep_strata():
@@ -668,7 +739,12 @@ def test_classify_rejects_inconsistent_slopes():
     with pytest.raises(DomainError):
         classify_group_scheme(3, 0, 2, (0, h, h, h, h, Fraction(5, 2)))  # zero slope
     with pytest.raises(DomainError):
-        classify_group_scheme(4, 4, 0)
+        classify_group_scheme(4, 1, 0)  # a = 0 below the ordinary end
+    with pytest.raises(DomainError):
+        classify_group_scheme(5, 3, 3)  # f + a > g
+    for a in (1, 2):
+        with pytest.raises(DomainError):  # neither all 1/2 nor 1/3 and 2/3
+            classify_group_scheme(3, 0, a, (Fraction(1, 4),) * 2 + (h,) * 2 + (Fraction(3, 4),) * 2)
     with pytest.raises(DomainError):
         classify_group_scheme(2, 2, 1)  # f + a > g
     with pytest.raises(DomainError):

@@ -1,6 +1,8 @@
 """Reduction-type predictions from splitting data, and the type-norm
 combinatorics that drives the proofs."""
 
+from fractions import Fraction
+
 import pytest
 
 from cmreduce import (
@@ -9,6 +11,7 @@ from cmreduce import (
     DomainError,
     RamifiedPrimeError,
     SplittingType,
+    classify_group_scheme,
     enumerate_classes,
     predict_for_genus,
     type_norm_orbit,
@@ -90,18 +93,30 @@ def test_predict_for_genus_dispatch():
     assert predict_for_genus(4, SplittingType(8, 1)).source == "general-degree CM reduction theorem"
 
 
+def test_prediction_matches_compares_the_pinned_pair():
+    exact = predict_for_genus(3, SplittingType(6, 1))
+    assert exact.matches(classify_group_scheme(3, 3, 0)) is True
+    assert exact.matches(classify_group_scheme(3, 2, 1)) is False
+    partial = predict_for_genus(3, SplittingType(2, 3))  # pins (0, 2), no slopes
+    thirds = (Fraction(1, 3),) * 3 + (Fraction(2, 3),) * 3
+    assert partial.matches(classify_group_scheme(3, 0, 2, thirds)) is True
+    assert partial.matches(classify_group_scheme(3, 0, 1)) is False
+    undetermined = predict_for_genus(4, SplittingType(1, 8))
+    assert undetermined.matches(classify_group_scheme(4, 0, 1)) is None
+
+
 PHI3 = CMType.from_exponents(3, {0, 1, 2})
 
 
 def test_type_norm_orbit_sextic_cases():
     # reflex exponents of {0,1,2} are {0,4,5}
-    assert type_norm_orbit(PHI3, 6).exponents == (1, 0, 0, 0, 1, 1)
+    assert type_norm_orbit(PHI3, 6) == (1, 0, 0, 0, 1, 1)
     orbit = type_norm_orbit(PHI3, 3)
-    assert orbit.exponents == (1, 1, 1)
-    assert orbit.is_constant
-    assert type_norm_orbit(PHI3, 2).exponents == (2, 1)
-    assert not type_norm_orbit(PHI3, 2).is_constant
-    assert type_norm_orbit(PHI3, 1).exponents == (3,)
+    assert orbit == (1, 1, 1)
+    assert len(set(orbit)) == 1
+    assert type_norm_orbit(PHI3, 2) == (2, 1)
+    assert len(set(type_norm_orbit(PHI3, 2))) != 1
+    assert type_norm_orbit(PHI3, 1) == (3,)
 
 
 def test_type_norm_orbit_domain():
@@ -117,7 +132,7 @@ def test_type_norm_orbit_constant_at_g_primes():
         for cls in enumerate_classes(g):
             if not cls.primitive:
                 continue
-            assert type_norm_orbit(cls.representative, g).is_constant
+            assert len(set(type_norm_orbit(cls.representative, g))) == 1
 
 
 def test_type_norm_orbit_split_case_support():
@@ -126,7 +141,7 @@ def test_type_norm_orbit_split_case_support():
         for cls in enumerate_classes(g):
             if not cls.primitive:
                 continue
-            counts = type_norm_orbit(cls.representative, 2 * g).exponents
+            counts = type_norm_orbit(cls.representative, 2 * g)
             assert sorted(counts) == [0] * g + [1] * g
 
 
