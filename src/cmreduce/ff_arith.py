@@ -15,15 +15,16 @@ public entries of one command, each checking its own p, pay for one proof.
 factor_degree_profile raises x to the p-th power once and gets every later
 x^(p^k) by composition.
 
-half_power_coeffs loops once per coefficient up to the highest one asked for
-and keeps each, and factorize loops up to sqrt(n), so their callers bound
-those; the pure residue arithmetic here takes arbitrary-precision input.
+half_power_coeffs keeps every coefficient up to the highest one asked for,
+in int32, and runs each block of p - 1 of them as about sqrt(p) chunks side
+by side, in about 2 sqrt(p) numpy steps; factorize loops up to sqrt(n). Their
+callers bound those; the pure residue arithmetic here takes
+arbitrary-precision input.
 """
 
 import random
-from array import array
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -36,7 +37,8 @@ _MR_EXTRA_ROUNDS = 64  # error < 4**-64 = 2**-128 for larger n
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-_BLOCK = 4096  # recurrence steps between writes to the coefficient array
+_SLAB = 1 << 16  # int64 entries in one temporary of half_power_coeffs
+_WIDE = 45  # deg G from which a block of the recurrence runs as one chunk
 
 
 def _mr_witness(a, d, s, n):
@@ -140,8 +142,11 @@ def half_power_coeffs(f, p, wanted):
     f**e = x^(ev) H(x^s) for H = G**e, and G H' = e G' H gives k G_0 H_k =
     sum_{i>=1} ((e+1) i - k) G_i H_{k-i}, which fixes H_k mod p when p does not
     divide k. At k = jp, H^2 G = G^p = G(y^p) over F_p does: the y^k coefficient
-    of H^2 G is G_j. H up to the highest index asked for is an int32 array, and
-    so is the table of inverses mod p of 1, 2, ... up to that index.
+    of H^2 G is G_j. Between two such pins the step at k = jp + r depends on r
+    alone, so `_recur` runs each block of up to p - 1 steps as chunks side by
+    side. H up to the highest index asked for is an int32 array, and so is the
+    table of inverses mod p of 1, 2, ... up to that index; every other
+    temporary is a slab of at most a few `_SLAB` int64 entries.
     """
     f = [c % p for c in f]
     v = next((i for i, c in enumerate(f) if c), None)
@@ -152,34 +157,109 @@ def half_power_coeffs(f, p, wanted):
     ks = {m: (m - e * v) // s for m in wanted if m >= e * v and (m - e * v) % s == 0}
     top = min(max(ks.values(), default=0), e * (len(g) - 1))  # deg H = e deg G
     h = np.zeros(top + 1, dtype=np.int32)
-    inv = array("i", [0, 1])  # inv[r] = 1 / r mod p, from p = (p // r) r + p % r
-    for r in range(2, min(p, top + 1)):
-        inv.append(-(p // r) * inv[p % r] % p)
+    inv = _inverses(min(p, top + 1), p)
     u = pow(g[0], -1, p)  # run on G / G_0, so that step k divides by k alone
-    terms = [(i, (e + 1) * i * c * u % p, c * u % p) for i, c in enumerate(g[1:], 1) if c]
-    n = min(1 << 16, (2**63 - 1) // (p - 1) ** 2)  # int64 products per dot
-    last = [0] * len(g)  # last[-i] = H_{k-i}
+    # entry j of a and c belongs to H_{k-d+j}, d = deg G, that is to i = d - j
+    a = np.array([(e + 1) * i * gi * u % p for i, gi in enumerate(g)][:0:-1], dtype=np.int64)
+    c = np.array([gi * u % p for gi in g][:0:-1], dtype=np.int64)
+    n = min(_SLAB, (2**63 - 1) // (p - 1) ** 2)  # int64 products per sum
     for base in range(0, top + 1, p):
         hk = pow(g[0], e, p)
         if base:  # t = [H^2 G]_k - G_j at k = jp, with H_k = 0 so far and H_0 = hk
             t, rev = -(g[base // p] if base // p < len(g) else 0), h[base::-1]
-            for i, c in enumerate(g[: base + 1]):
-                for a in range(0, base - i + 1, n):
-                    y = rev[i + a : i + a + n].astype(np.int64)
-                    t += c * int(h[a : a + y.size].astype(np.int64) @ y)
+            for i, gi in enumerate(g[: base + 1]):
+                for lo in range(0, base - i + 1, n):
+                    y = rev[i + lo : i + lo + n].astype(np.int64)
+                    t += gi * int(h[lo : lo + y.size].astype(np.int64) @ y)
             hk = -t * pow(2 * hk * g[0], -1, p) % p
         h[base] = hk
-        last.append(hk)
-        for lo in range(1, min(p, top - base + 1), _BLOCK):
-            hi = min(lo + _BLOCK, p, top - base + 1)
-            for r, w in zip(range(lo, hi), inv[lo:hi]):
-                t = 0
-                for i, a, c in terms:
-                    t += (a - r * c) * last[-i]
-                last.append(t % p * w % p)
-            h[base + lo : base + hi] = last[lo - hi :]
-            del last[: -len(g)]
+        if base < top:
+            _recur(h, base, min(p - 1, top - base), a, c, inv, p, n)
     return {m: int(h[ks[m]]) if ks.get(m, top + 1) <= top else 0 for m in wanted}
+
+
+def _inverses(n, p):
+    """int32 table of 1/r mod p for 0 < r < n <= p, p prime; entry 0 is 0.
+
+    Range [m, 2m) rounds p / r to the nearest q, so that p = q r + x with
+    0 < |x| <= r / 2 < m, and 1/r = -q / x reads the table below m.
+    """
+    inv = np.zeros(n, dtype=np.int32)
+    inv[1:2] = 1
+    m = 2
+    while m < n:
+        for lo in range(m, min(2 * m, n), _SLAB):
+            r = np.arange(lo, min(lo + _SLAB, 2 * m, n), dtype=np.int64)
+            q = (2 * p + r) // (2 * r)
+            x = p - q * r
+            inv[lo : lo + r.size] = -q * np.sign(x) * inv[np.abs(x)] % p
+        m *= 2
+    return inv
+
+
+def _recur(h, base, steps, a, c, inv, p, n):
+    """Write H_{base+r} = sum_j (a_j / r - c_j) H_{base+r-d+j}, 1 <= r <= steps.
+
+    The block runs as `chunks` chunks of `size` steps side by side. Pass 1
+    carries the d unit start states through every chunk but the last, which
+    gives each chunk's d x d transfer matrix; pass 2 walks those from the
+    block's start state to each chunk's true start state; pass 3 reruns the
+    chunks from their true states and writes H. Pass 1 costs d^2
+    multiply-adds per step against d for the others, so wide recurrences
+    run as one chunk: one dot product per step, and no passes 1 and 2.
+    """
+    d = a.size
+    chunks = min(isqrt(2 * steps), _SLAB // (d * d)) if d < _WIDE else 1
+    size = -(-steps // chunks)
+    if 2 * size + chunks - 1 >= steps:  # no fewer steps than one chunk takes
+        size = steps
+    chunks = -(-steps // size)
+    first = 1 + size * np.arange(chunks)
+    state = np.zeros((chunks, d, 1), dtype=np.int64)
+    lo = max(0, base + 1 - d)
+    state[0, d - (base + 1 - lo) :, 0] = h[lo : base + 1]
+    if chunks > 1:
+        moves = _steps(first[:-1], size, np.eye(d, dtype=np.int64), a, c, inv, p, n)
+        for i in range(chunks - 1):
+            _dot(moves[i], state[i], p, n, state[i + 1])
+    _steps(first, size, state, a, c, inv, p, n, h[base + 1 : base + 1 + steps])
+
+
+def _steps(first, size, state, a, c, inv, p, n, out=None):
+    """Run `size` steps from r = first[i] on each window state[i] (d x S,
+    row j holding H_{k-d+j}; one window for every chunk when state is 2-D)
+    side by side, and return the final windows. Given `out`, the block's
+    H_{base+1}, ..., write the first column's new values to it; r stops at
+    len(out), and a short last chunk's values past it are dropped."""
+    chunks, (d, width) = first.size, state.shape[-2:]
+    last = first[-1] + size - 1 if out is None else out.size
+    span = max(1, _SLAB // (chunks * d * width))
+    buf = np.empty((chunks, d + span, width), dtype=np.int64)
+    buf[:, :d] = state
+    for t0 in range(0, size, span):
+        m = min(span, size - t0)
+        w = inv[np.minimum(np.arange(t0, t0 + m)[:, None] + first, last)]
+        cf = (a[:, None, None] * w - c[:, None, None]) % p  # (d, steps, chunks)
+        cf = cf.transpose(1, 2, 0)[:, :, None]  # step t: (chunks, 1, d)
+        for t in range(m):
+            _dot(cf[t], buf[:, t : t + d], p, n, buf[:, d + t, None])
+        if out is not None:
+            full = out[: (chunks - 1) * size].reshape(chunks - 1, size)
+            full[:, t0 : t0 + m] = buf[:-1, d : d + m, 0]
+            tail = out[(chunks - 1) * size + t0 : (chunks - 1) * size + t0 + m]
+            tail[:] = buf[-1, d : d + tail.size, 0]
+        buf[:, :d] = buf[:, m : m + d]
+    return buf[:, :d]
+
+
+def _dot(x, y, p, n, out):
+    """out = x @ y mod p for residue arrays, with at most n products in
+    each int64 sum."""
+    if x.shape[-1] > n:
+        np.sum(x[..., None] * y[..., None, :, :] % p, axis=-2, out=out)
+    else:
+        np.matmul(x, y, out=out)
+    np.remainder(out, p, out=out)
 
 
 def poly_divmod(f, g, p):

@@ -7,7 +7,11 @@ only implementation of themselves.
 
 import math
 import random
+import tracemalloc
+from array import array
+from math import gcd
 
+import numpy as np
 import pytest
 
 from cmreduce import DomainError, NotSquarefreeError
@@ -173,6 +177,109 @@ def test_half_power_coeffs_matches_expansion(p):
         wanted = range(-3, len(full) + 2 * s)
         got = half_power_coeffs(f, p, wanted)
         assert got == {m: (full[m] if 0 <= m < len(full) else 0) for m in wanted}, (f, p)
+
+
+def reference_half_power_coeffs(f, p, wanted):
+    """half_power_coeffs as one Python loop per coefficient, with the same
+    pins; the library's routine before it ran blocks of steps side by side."""
+    f = [c % p for c in f]
+    v = next((i for i, c in enumerate(f) if c), None)
+    if v is None:
+        raise DomainError("half_power_coeffs: zero polynomial")
+    e, s = (p - 1) // 2, gcd(*(i for i, c in enumerate(f[v:]) if c)) or 1
+    g = poly_trim(f[v::s])
+    ks = {m: (m - e * v) // s for m in wanted if m >= e * v and (m - e * v) % s == 0}
+    top = min(max(ks.values(), default=0), e * (len(g) - 1))  # deg H = e deg G
+    h = np.zeros(top + 1, dtype=np.int32)
+    inv = array("i", [0, 1])  # inv[r] = 1 / r mod p, from p = (p // r) r + p % r
+    for r in range(2, min(p, top + 1)):
+        inv.append(-(p // r) * inv[p % r] % p)
+    u = pow(g[0], -1, p)  # run on G / G_0, so that step k divides by k alone
+    terms = [(i, (e + 1) * i * c * u % p, c * u % p) for i, c in enumerate(g[1:], 1) if c]
+    n = min(1 << 16, (2**63 - 1) // (p - 1) ** 2)  # int64 products per dot
+    last = [0] * len(g)  # last[-i] = H_{k-i}
+    for base in range(0, top + 1, p):
+        hk = pow(g[0], e, p)
+        if base:  # t = [H^2 G]_k - G_j at k = jp, with H_k = 0 so far and H_0 = hk
+            t, rev = -(g[base // p] if base // p < len(g) else 0), h[base::-1]
+            for i, c in enumerate(g[: base + 1]):
+                for a in range(0, base - i + 1, n):
+                    y = rev[i + a : i + a + n].astype(np.int64)
+                    t += c * int(h[a : a + y.size].astype(np.int64) @ y)
+            hk = -t * pow(2 * hk * g[0], -1, p) % p
+        h[base] = hk
+        last.append(hk)
+        for lo in range(1, min(p, top - base + 1), 4096):
+            hi = min(lo + 4096, p, top - base + 1)
+            for r, w in zip(range(lo, hi), inv[lo:hi]):
+                t = 0
+                for i, a, c in terms:
+                    t += (a - r * c) * last[-i]
+                last.append(t % p * w % p)
+            h[base + lo : base + hi] = last[lo - hi :]
+            del last[: -len(g)]
+    return {m: int(h[ks[m]]) if ks.get(m, top + 1) <= top else 0 for m in wanted}
+
+
+def random_stride_poly(rng, p, deg_g, s, v):
+    """x^v G(x^s) with G of degree deg_g, G(0) a unit, coefficients lifted
+    by random multiples of p."""
+    g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(deg_g)]
+    g[-1] = g[-1] or 1
+    f = [0] * v
+    for c in g:
+        f += [c] + [0] * (s - 1)
+    return [c + p * rng.randrange(-2, 3) for c in f[: len(f) - s + 1]]
+
+
+@pytest.mark.parametrize("p, deg_g, s, v, top", [
+    (65537, 3, 1, 0, None),  # blocks of 360 chunks, several slabs per pass
+    (200003, 3, 1, 1, None),  # inverses of r in [2^17, 2^18) take two slabs
+    (101, 50, 1, 0, None),  # deg G >= 50: one chunk per block
+    (211, 57, 2, 2, None),
+    (2**31 - 1, 8, 1, 0, 600),  # 8 (p - 1)^2 > 2^63: each product reduced
+    (2**31 - 1, 5, 3, 2, 400),
+])
+def test_half_power_coeffs_matches_reference(p, deg_g, s, v, top):
+    rng = random.Random(p + deg_g)
+    f = random_stride_poly(rng, p, deg_g, s, v)
+    e = (p - 1) // 2
+    if top is not None:  # every index from just below e v to e v + s top
+        wanted = range(e * v - 3, e * v + s * top)
+    elif p < 1000:  # every index, past the degree of f^e too
+        wanted = range(-3, e * (len(f) - 1) + 2 * s)
+    else:  # the Cartier-Manin indices of genus 3 and random ones below 3p
+        wanted = [i * p - j for i in (1, 2, 3) for j in (1, 2, 3)]
+        wanted += [rng.randrange(-3, 3 * p) for _ in range(300)]
+    assert half_power_coeffs(f, p, wanted) == reference_half_power_coeffs(f, p, wanted)
+
+
+def test_half_power_coeffs_matches_reference_on_random_strides():
+    # s > 1, x^v factors, unreduced lifts, every index, p up to 701
+    rng = random.Random(15)
+    primes = [q for q in range(3, 702) if is_prime(q)]
+    for _ in range(60):
+        p, s = rng.choice(primes), rng.choice([1, 1, 2, 3])
+        f = random_stride_poly(rng, p, rng.randrange(1, 9), s, rng.randrange(0, 3))
+        wanted = range(-3, min(len(f) * (p - 1) // 2, 4 * p) + 2 * s)
+        assert half_power_coeffs(f, p, wanted) == reference_half_power_coeffs(f, p, wanted), (f, p)
+
+
+def test_half_power_coeffs_memory_is_history_plus_slabs():
+    # weng-g3 at p = 1048573: H up to index (3p - 1 - e) / 2 (v = 1, s = 2),
+    # an inverse for each r < p, each int32; the recurrence's own arrays are
+    # slabs of bounded size, never one entry per step of a block
+    p, e = 1048573, 1048572 // 2
+    f = [0, 7, 0, 14, 0, 7, 0, 1]
+    wanted = [i * p - j for i in (1, 2, 3) for j in (1, 2, 3)]
+    history, table = (3 * p - 1 - e) // 2 + 1, p
+    tracemalloc.start()
+    try:
+        half_power_coeffs(f, p, wanted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (history + table) + (8 << 20)
 
 
 def test_poly_divmod_identity():

@@ -168,9 +168,13 @@ def test_worked_p_rank_a_number():
     (12853, [-1, 0, 0, 0, 0, 0, 0, 1], ((5640, 0, 0), (0, 8329, 0), (0, 0, 11099))),
     (12853, WAMELEN_C1, ((113, 10475), (3524, 12740))),
     (13309, WENG, ((6038, 0, 7271), (0, 0, 0), (6038, 0, 7271))),
+    (1048573, WENG, ((925995, 0, 367722), (0, 930965, 0), (0, 0, 245144))),
+    (1048573, CYCLO5, ((0, 0), (293474, 0))),
 ])
 def test_cartier_manin_frozen_large_p(p, coeffs, want):
-    # f = x^v G(x^s): weng-g3 (s = 2) and wamelen-c1 (s = 1) pin H_p, x^7 - 1 needs no pin
+    # f = x^v G(x^s): weng-g3 (s = 2) and wamelen-c1 (s = 1) pin H_p, x^7 - 1
+    # and x^5 - 1 need no pin; at p = 1048573 a block of steps runs as 1448
+    # chunks (weng-g3) or 1024 (x^5 - 1)
     assert cartier_manin(ReducedCurve(p, coeffs)) == want
 
 
