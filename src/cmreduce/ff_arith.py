@@ -16,9 +16,9 @@ factor_degree_profile raises x to the p-th power once and gets every later
 x^(p^k) by composition.
 
 half_power_coeffs keeps every coefficient up to the highest one asked for,
-in int32, and runs each block of p - 1 of them as about sqrt(p) chunks side
-by side, in about 2 sqrt(p) numpy steps; factorize loops up to sqrt(n). Their
-callers bound those; the pure residue arithmetic here takes
+in int32, and computes each block of p - 1 of them as about sqrt(2p) chunks
+side by side, in about 2 sqrt(2p) numpy steps; factorize loops up to
+sqrt(n). Their callers bound those; the pure residue arithmetic here takes
 arbitrary-precision input.
 """
 
@@ -37,8 +37,8 @@ _MR_EXTRA_ROUNDS = 64  # error < 4**-64 = 2**-128 for larger n
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-_SLAB = 1 << 16  # int64 entries in one temporary of half_power_coeffs
-_WIDE = 45  # deg G from which a block of the recurrence runs as one chunk
+_SLAB = 1 << 15  # int64 entries in one temporary of half_power_coeffs
+_WIDE = 45  # deg G from which pass 1 of a block costs more than it saves
 
 
 def _mr_witness(a, d, s, n):
@@ -142,11 +142,13 @@ def half_power_coeffs(f, p, wanted):
     f**e = x^(ev) H(x^s) for H = G**e, and G H' = e G' H gives k G_0 H_k =
     sum_{i>=1} ((e+1) i - k) G_i H_{k-i}, which fixes H_k mod p when p does not
     divide k. At k = jp, H^2 G = G^p = G(y^p) over F_p does: the y^k coefficient
-    of H^2 G is G_j. Between two such pins the step at k = jp + r depends on r
-    alone, so `_recur` runs each block of up to p - 1 steps as chunks side by
-    side. H up to the highest index asked for is an int32 array, and so is the
-    table of inverses mod p of 1, 2, ... up to that index; every other
-    temporary is a slab of at most a few `_SLAB` int64 entries.
+    of H^2 G is G_j. Between two such pins the step at k = jp + r multiplies
+    H_{k-i} by ((e+1) i G_i / r - G_i) / G_0, which depends on r alone, so
+    `_recur` runs each block of up to p - 1 steps as a linear recurrence of
+    order deg G, in chunks side by side. H up to the highest index asked for
+    is an int32 array, and so is the table of inverses mod p of 1, 2, ... up
+    to that index; no other array holds more than twice `_SLAB` int64
+    entries or deg G + 1 of them.
     """
     f = [c % p for c in f]
     v = next((i for i, c in enumerate(f) if c), None)
@@ -181,19 +183,24 @@ def half_power_coeffs(f, p, wanted):
 def _inverses(n, p):
     """int32 table of 1/r mod p for 0 < r < n <= p, p prime; entry 0 is 0.
 
-    Range [m, 2m) rounds p / r to the nearest q, so that p = q r + x with
-    0 < |x| <= r / 2 < m, and 1/r = -q / x reads the table below m.
+    With q the integer nearest p / r, x = q r - p has 0 < |x| <= r / 2 and
+    1/r = q / x, so inverses of r in [m, 2m) read the table below m.
     """
     inv = np.zeros(n, dtype=np.int32)
     inv[1:2] = 1
-    m = 2
-    while m < n:
-        for lo in range(m, min(2 * m, n), _SLAB):
-            r = np.arange(lo, min(lo + _SLAB, 2 * m, n), dtype=np.int64)
-            q = (2 * p + r) // (2 * r)
-            x = p - q * r
-            inv[lo : lo + r.size] = -q * np.sign(x) * inv[np.abs(x)] % p
-        m *= 2
+    for lo in range(0, n, _SLAB):
+        r = np.arange(max(lo, 2), min(lo + _SLAB, n), dtype=np.int64)
+        q = r + 2 * p
+        q //= r + r
+        x = np.multiply(r, q, out=r)
+        x -= p
+        q *= np.sign(x)
+        np.abs(x, out=x)
+        m = start = max(lo, 2)
+        while m < start + x.size:  # [m, 2m) and the slab, from m = 2, 4, 8, ...
+            hi = min(2 * m, start + x.size)
+            inv[m:hi] = q[m - start : hi - start] * inv[x[m - start : hi - start]] % p
+            m = hi
     return inv
 
 
@@ -219,7 +226,7 @@ def _recur(h, base, steps, a, c, inv, p, n):
     lo = max(0, base + 1 - d)
     state[0, d - (base + 1 - lo) :, 0] = h[lo : base + 1]
     if chunks > 1:
-        moves = _steps(first[:-1], size, np.eye(d, dtype=np.int64), a, c, inv, p, n)
+        moves = _steps(first[:-1], size, np.eye(d, dtype=np.int64), a, c, inv, p, n).copy()
         for i in range(chunks - 1):
             _dot(moves[i], state[i], p, n, state[i + 1])
     _steps(first, size, state, a, c, inv, p, n, h[base + 1 : base + 1 + steps])
@@ -238,8 +245,10 @@ def _steps(first, size, state, a, c, inv, p, n, out=None):
     buf[:, :d] = state
     for t0 in range(0, size, span):
         m = min(span, size - t0)
-        w = inv[np.minimum(np.arange(t0, t0 + m)[:, None] + first, last)]
-        cf = (a[:, None, None] * w - c[:, None, None]) % p  # (d, steps, chunks)
+        r = np.arange(t0, t0 + m)[:, None] + first
+        cf = a[:, None, None] * inv[np.minimum(r, last, out=r)]
+        cf -= c[:, None, None]
+        cf %= p
         cf = cf.transpose(1, 2, 0)[:, :, None]  # step t: (chunks, 1, d)
         for t in range(m):
             _dot(cf[t], buf[:, t : t + d], p, n, buf[:, d + t, None])
