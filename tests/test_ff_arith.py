@@ -1,7 +1,8 @@
 """Arithmetic layer: primality, Kronecker symbol, polynomial and matrix ops.
 
 Cross-checks against naive reimplementations with seeded randomness, so the
-fast paths (Kronecker-substitution multiply, DDF, echelon rank) are never the
+fast paths (Kronecker-substitution multiply, DDF, echelon rank, the chunked
+Cartier-Manin recurrence against its per-coefficient loop) are never the
 only implementation of themselves.
 """
 
