@@ -80,12 +80,6 @@ class CMType:
     def is_primitive(self):
         return self.period() == 2 * self.g
 
-    def canonicalize(self):
-        ext = self.extended
-        n = 2 * self.g
-        best = min(tuple(ext[(i + s) % n] for i in range(n)) for s in range(n))
-        return CMType(best[: self.g])
-
     def reflex(self):
         """Inverse exponent set; defined for primitive types on abelian fields."""
         if not self.is_primitive():

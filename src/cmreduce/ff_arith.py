@@ -27,6 +27,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NotSquarefreeError
 
@@ -148,7 +149,7 @@ def half_power_coeffs(f, p, wanted):
     order deg G, in chunks side by side. H up to the highest index asked for
     is an int32 array, and so is the table of inverses mod p of 1, 2, ... up
     to that index; no other array holds more than twice `_SLAB` int64
-    entries or deg G + 1 of them.
+    entries, or `_SLAB` + deg G of them when G is longer.
     """
     f = [c % p for c in f]
     v = next((i for i, c in enumerate(f) if c), None)
@@ -168,11 +169,13 @@ def half_power_coeffs(f, p, wanted):
     for base in range(0, top + 1, p):
         hk = pow(g[0], e, p)
         if base:  # t = [H^2 G]_k - G_j at k = jp, with H_k = 0 so far and H_0 = hk
-            t, rev = -(g[base // p] if base // p < len(g) else 0), h[base::-1]
-            for i, gi in enumerate(g[: base + 1]):
-                for lo in range(0, base - i + 1, n):
-                    y = rev[i + lo : i + lo + n].astype(np.int64)
-                    t += gi * int(h[lo : lo + y.size].astype(np.int64) @ y)
+            t, sums = -(g[base // p] if base // p < len(g) else 0), np.zeros(len(g), np.int64)
+            for lo in range(0, base + 1, n):  # window row i: H_l H_(k-i-l), l in the slab
+                x = h[lo : min(lo + n, base + 1)].astype(np.int64)
+                y = np.zeros(x.size + len(g) - 1, dtype=np.int64)
+                y[: min(y.size, base + 1 - lo)] = h[base - lo :: -1][: y.size]
+                sums = (sums + sliding_window_view(y, x.size) @ x % p) % p
+            t += sum(gi * int(si) for gi, si in zip(g, sums))
             hk = -t * pow(2 * hk * g[0], -1, p) % p
         h[base] = hk
         if base < top:

@@ -11,7 +11,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .cm_types import CMType
@@ -23,7 +22,7 @@ from .errors import (
     NotSquarefreeError,
     ResourceLimitError,
 )
-from .ff_arith import is_prime, kronecker
+from .ff_arith import is_prime, kronecker, poly_deriv, poly_gcd
 from .invariants import ReducedCurve, reduction_profile
 from .predictor import predict_for_genus
 from .splitting import (
@@ -42,18 +41,20 @@ _CYCLO_FIELD_LABEL = re.compile(r"cyclotomic-(\d+)\Z")
 
 
 def _rational_squarefree(coeffs):
-    f = [Fraction(c) for c in coeffs]
-    g = [Fraction(i * c) for i, c in enumerate(coeffs)][1:]
-    while any(g):
-        while len(f) >= len(g):
-            q = f[-1] / g[-1]
-            for i in range(len(g)):
-                f[len(f) - len(g) + i] -= q * g[i]
-            f.pop()
-            while f and f[-1] == 0:
-                f.pop()
-        f, g = g, f
-    return len(f) == 1
+    """Res(f, f') != 0. One prime p not dividing lc(f) with gcd(f, f') = 1 mod p
+    shows it; primes that see a repeated factor each divide Res, so once their
+    product passes sqrt(B), B = |f|^(2(n-1)) |f'|^(2n) >= Res^2 (Hadamard's
+    bound on the Sylvester matrix), Res = 0."""
+    n, df = len(coeffs) - 1, [i * c for i, c in enumerate(coeffs)][1:]
+    bound = sum(c * c for c in coeffs) ** (n - 1) * sum(c * c for c in df) ** n
+    p, seen = 1, 1
+    while seen * seen <= bound:
+        p += 1
+        if coeffs[-1] % p and is_prime(p):
+            if poly_gcd(coeffs, poly_deriv(coeffs, p), p) == [1]:
+                return True
+            seen *= p
+    return False
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Curve catalog, reduction at primes, generation targets, verification."""
 
 import json
+import random
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
@@ -208,6 +210,59 @@ def test_record_validation(catalog):
             "x", 2, (1, 1, 0, 0, 0, 1), quartic, "t",
             cm_type=CMType.from_exponents(3, {0, 1, 2}),
         )
+
+
+def rational_squarefree_reference(coeffs):
+    """Euclid over Q in Fractions: f is squarefree when gcd(f, f') is a constant."""
+    f = [Fraction(c) for c in coeffs]
+    g = [Fraction(i * c) for i, c in enumerate(coeffs)][1:]
+    while any(g):
+        while len(f) >= len(g):
+            q = f[-1] / g[-1]
+            for i in range(len(g)):
+                f[len(f) - len(g) + i] -= q * g[i]
+            f.pop()
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
+def int_poly_mul(*fs):
+    out = [1]
+    for f in fs:
+        r = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                r[i + j] += a * b
+        out = r
+    return out
+
+
+def test_repeated_rational_factor_is_refused_by_the_squarefree_check(catalog):
+    quartic = catalog.field("quartic-5-65-845")
+    # (x^2+1)^2 (x-3): degree, field and leading coefficient all fit genus 2,
+    # and every prime sees the square, so only the resultant bound refuses it
+    f = tuple(int_poly_mul([1, 0, 1], [1, 0, 1], [-3, 1]))
+    with pytest.raises(CatalogError, match="repeated rational root"):
+        CMCurveRecord("x", 2, f, quartic, "t")
+    # squarefree over Q, with a repeated root mod 2, 3, 5 and 7
+    f = tuple(int_poly_mul(*([-210 * i, 1] for i in range(5))))
+    assert CMCurveRecord("x", 2, f, quartic, "t").f_coeffs == f
+
+
+def test_rational_squarefree_matches_euclid_over_q():
+    # half the inputs are a^2 b, the other half a b, which is mostly squarefree
+    rng = random.Random(16)
+
+    def poly(lo, hi, size):
+        f = [rng.randint(-size, size) for _ in range(rng.randint(lo, hi))]
+        return f + [rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])]
+
+    for k in range(2000):
+        a, b = poly(1, 3, 9), poly(0, 5, rng.choice([2, 9, 99]))
+        f = int_poly_mul(a, a, b) if k % 2 else int_poly_mul(a, b)
+        assert generator._rational_squarefree(f) == rational_squarefree_reference(f), f
 
 
 def test_reduce_curve(catalog):
