@@ -1,12 +1,13 @@
 """Exact arithmetic over the integers and F_p.
 
-Arbitrary-precision number theory (primality, Kronecker symbol), trial
-division of small integers (factorize), dense polynomials over F_p
-(division, gcd, powers of x modulo a monic polynomial, distinct-degree
-factoring, irreducible moduli, coefficients of f^((p-1)/2)), and the rank of
-a matrix over F_p. Elements of F_p are plain ints, and polynomials are dense
-little-endian coefficient lists: index = exponent, no trailing zeros above the
-degree. Matrices are numpy int64 arrays, or whatever np.asarray reads as one
+Arbitrary-precision number theory (primality, Kronecker symbol, square
+roots mod p), trial division of small integers (factorize), dense
+polynomials over F_p (division, gcd, powers of x modulo a monic polynomial,
+distinct-degree factoring, irreducible moduli, coefficients of
+f^((p-1)/2)), Cantor's group law on the Jacobian of an odd-degree
+hyperelliptic curve, and the rank of a matrix over F_p. Elements of F_p are
+plain ints, and polynomials are dense little-endian coefficient lists:
+index = exponent, no trailing zeros above the degree. Matrices are numpy int64 arrays, or whatever np.asarray reads as one
 (a tuple of row tuples, a list of rows), with entries in [0, p) once reduced;
 a product of two entries then stays below 2^62 for p < 2^31.
 
@@ -334,6 +335,110 @@ def poly_xpow(e, m, p):
 
 def poly_deriv(f, p):
     return poly_trim([i * c % p for i, c in enumerate(f)][1:] or [0])
+
+
+def _pmul(a, b, p):
+    r = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                r[i + j] += x * y
+    return poly_trim([c % p for c in r])
+
+
+def _padd(a, b, p, sign=1):
+    r = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        r[i] = c
+    for i, c in enumerate(b):
+        r[i] += sign * c
+    return poly_trim([c % p for c in r])
+
+
+def _xgcd(a, b, p):
+    """(d, s): d the monic gcd of a and b over F_p, and s with s a = d mod b."""
+    r0, r1, s0, s1 = a, b, [1], [0]
+    while r1 != [0]:
+        q, r = poly_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _padd(s0, _pmul(q, s1, p), p, -1)
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in r0], [c * inv % p for c in s0]
+
+
+def sqrt_mod(a, p):
+    """A square root of the square a mod the odd prime p (Tonelli-Shanks)."""
+    a %= p
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:  # the least non-residue
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:  # r^2 = a t, and the order of t halves each round
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian of y^2 = f(x), deg f = 2g + 1, over F_p (Cantor, Math. Comp.
+# 48, 1987): a divisor class is its reduced Mumford pair (u, v), u monic of
+# degree <= g, deg v < deg u and u | f - v^2; zero is ([1], [0])
+
+
+def jacobian_add(d1, d2, f, p):
+    """The reduced sum of two divisor classes. Coprime u1, u2 compose by the
+    Chinese remainder theorem, and a doubling with gcd(u, 2v) = 1 by one
+    Hensel step; every other pair by Cantor's composition."""
+    (u1, v1), (u2, v2) = d1, d2
+    if d1 == d2:  # v' = v + u k with 2 v k = (f - v^2) / u mod u
+        d, s = _xgcd(_padd(v1, v1, p), u1, p)
+        w = poly_divmod(_padd(f, _pmul(v1, v1, p), p, -1), u1, p)[0]
+        k = poly_divmod(_pmul(w, s, p), u1, p)[1]
+    else:  # v' = v1 + u1 k with k = (v2 - v1) / u1 mod u2
+        d, s = _xgcd(u1, u2, p)
+        k = poly_divmod(_pmul(s, _padd(v2, v1, p, -1), p), u2, p)[1]
+    if d == [1]:
+        u, v = _pmul(u1, u2, p), _padd(v1, _pmul(u1, k, p), p)
+    else:  # d = e1 u1 + e2 u2 = c1 d + c2 (v1 + v2), and v solves both by CRT
+        d0, e1 = _xgcd(u1, u2, p)
+        e2 = poly_divmod(_padd(d0, _pmul(e1, u1, p), p, -1), u2, p)[0]
+        w = _padd(v1, v2, p)
+        d, c1 = _xgcd(d0, w, p)
+        c2 = poly_divmod(_padd(d, _pmul(c1, d0, p), p, -1), w, p)[0] if w != [0] else [0]
+        u = poly_divmod(_pmul(u1, u2, p), _pmul(d, d, p), p)[0]
+        v = _padd(_pmul(_pmul(c1, e1, p), _pmul(u1, v2, p), p),
+                  _pmul(_pmul(c1, e2, p), _pmul(u2, v1, p), p), p)
+        v = _padd(v, _pmul(c2, _padd(_pmul(v1, v2, p), f, p), p), p)
+        v = poly_divmod(poly_divmod(v, d, p)[0], u, p)[1]
+    while len(u) > (len(f) + 1) // 2:  # deg u > g
+        u = poly_divmod(_padd(f, _pmul(v, v, p), p, -1), u, p)[0]
+        inv = pow(u[-1], -1, p)
+        u = [c * inv % p for c in u]
+        v = poly_divmod([-c % p for c in v], u, p)[1]
+    return u, v
+
+
+def jacobian_mul(terms, f, p):
+    """The sum of [n] d over the (n, d) in terms, n >= 0, by one double and
+    add pass over the bits of every n at once (Straus): each bit position
+    adds the sum of the d whose n has that bit, formed once per subset."""
+    zero, sums = ([1], [0]), {}
+    out = zero
+    for i in range(max(n for n, _ in terms).bit_length() - 1, -1, -1):
+        out = jacobian_add(out, out, f, p) if out != zero else out
+        subset = tuple(j for j, (n, _) in enumerate(terms) if n >> i & 1)
+        if subset:
+            if subset not in sums:
+                sums[subset] = zero
+                for j in subset:
+                    sums[subset] = jacobian_add(sums[subset], terms[j][1], f, p)
+            out = jacobian_add(out, sums[subset], f, p)
+    return out
 
 
 def factor_degree_profile(f, p):

@@ -35,6 +35,7 @@ from .splitting import (
 
 CATALOG_VERSION = 1
 VERIFY_CAP = 1 << 20
+BITS_CAP = 1024  # largest bit size generate searches
 _GENERATE_RETRIES = 64
 _CYCLO_LABEL = re.compile(r"cyclo-(\d+)\Z")
 _CYCLO_FIELD_LABEL = re.compile(r"cyclotomic-(\d+)\Z")
@@ -336,7 +337,10 @@ class GenerationResult:
 def generate(record, target_type, bit_size, seed=0):
     """A prime of the requested size and splitting behaviour together with
     the reduced curve and its predicted type; invariants are verified when
-    the prime is small enough."""
+    the prime is small enough. A bit size above BITS_CAP is refused before
+    any search."""
+    if bit_size > BITS_CAP:
+        raise ResourceLimitError(f"generate: bit size must be at most {BITS_CAP}")
     name, target = _resolve_target(record, target_type)
     p = None
     curve = None

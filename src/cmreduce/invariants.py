@@ -3,15 +3,20 @@
 Everything here is computed from the curve equation alone: the Cartier-Manin
 matrix gives the p-rank and a-number, exhaustive point counts over small
 extensions give the L-polynomial, and the Newton polygon falls out of the
-L-polynomial. The group-scheme classifier maps (p-rank, a-number, slopes)
-to the p-torsion label at every genus; the predictor names its profiles
-through the same classifier.
+L-polynomial. At genus 2 only the count over F_p runs: Manin's congruence
+L(T) = det(I - T A_0) mod p gives a_2 mod p, and the order of J(F_p), in
+Cantor's arithmetic, picks its lift within the Weil bounds; the count over
+F_{p^2} is the fallback when no divisor tells the lifts apart. Every
+computed L-polynomial is checked against the congruence. The group-scheme
+classifier maps (p-rank, a-number, slopes) to the p-torsion label at every
+genus; the predictor names its profiles through the same classifier.
 """
 
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -25,11 +30,14 @@ from .ff_arith import (
     find_irreducible,
     half_power_coeffs,
     is_prime,
+    jacobian_add,
+    jacobian_mul,
     matrix_rank,
     poly_deriv,
     poly_gcd,
     poly_trim,
     poly_xpow,
+    sqrt_mod,
 )
 
 # largest p^k * max(k, 2)^2 counted. A count fills a p^k-byte table from
@@ -44,6 +52,8 @@ SLOPE_BUDGET = 1 << 21  # largest p^g for which slopes are computed
 CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
 _CHUNK = 1 << 16  # float64 entries in one product of a point count
 _EXACT = 1 << 53  # float64 sums of products stay exact below this
+_DIVISORS = 4  # divisors the genus-2 order check tries before it counts over F_{p^2}
+_POINT_DRAWS = 64  # x values it draws for their points
 
 
 @dataclass(frozen=True)
@@ -236,14 +246,95 @@ def point_count(curve, k=1):
     return total + (2 if roots[coeffs[-1]] else 0)
 
 
+def _manin(a, p):
+    """det(I - T a) mod p, little-endian, for a square matrix a of residues,
+    by Berkowitz's division-free recurrence (it holds at any p, p <= g too):
+    the polynomial of each leading (r+1) x (r+1) block is a Toeplitz matrix
+    with first column 1, -a_rr, -R C, -R M C, ..., -R M^(r-1) C times the
+    polynomial of the r x r block M, R and C the new row and column."""
+    c = [1]
+    for r in range(len(a)):
+        t, w = [1, -a[r][r]], [a[i][r] for i in range(r)]
+        for _ in range(r):
+            t.append(-sum(x * y for x, y in zip(a[r], w)) % p)
+            w = [sum(x * y for x, y in zip(a[i], w)) % p for i in range(r)]
+        c = [sum(t[i - j] * c[j] for j in range(max(0, i - r - 1), min(i, r) + 1)) % p
+             for i in range(r + 2)]
+    return c
+
+
+def _genus2_a2(curve, a1):
+    """a_2 of a genus-2 curve with L(T) = 1 + a1 T + ..., from Manin's
+    congruence and the order of J(F_p), or None when this route cannot tell.
+
+    a_2 = det A_0 mod p, and the Weil bounds put a_2 in [2 sqrt(p) |a1| - 2p,
+    a1^2 / 4 + 2p], so at most 5 lifts spaced p apart remain, each giving an
+    order L(1) of J(F_p). The odd model takes the least F_p-root r of a
+    sextic to infinity, t^6 f(r + 1/t), which leaves L unchanged. Each
+    divisor P_1 + P_2, from points in a seeded order, keeps the lifts whose
+    order kills it: no survivor is an inconsistency, one is a_2, and a tie
+    after _DIVISORS divisors (or a sextic with no root, or too few points)
+    gives None.
+    """
+    p, f = curve.p, list(curve.coeffs)
+    res = _manin(cartier_manin(curve), p)[2]
+    b = 4 * p * a1 * a1  # 2 sqrt(p) |a1| = sqrt(b)
+    first = isqrt(b) + (isqrt(b) ** 2 < b) - 2 * p
+    first += (res - first) % p
+    lifts = range(first, a1 * a1 // 4 + 2 * p + 1, p)
+    if curve.degree == 6:
+        for x0 in range(0, p, _CHUNK):
+            zeros = np.flatnonzero(_hasse(f, np.arange(x0, min(x0 + _CHUNK, p)), 1, p) == 0)
+            if zeros.size:
+                break
+        else:
+            return None
+        h, root = [], x0 + int(zeros[0])
+        for c in reversed(f):  # h(s) = f(s + root) by Horner, h_0 = f(root) = 0
+            h = [(x + root * y) % p for x, y in zip([0] + h, h + [0])]
+            h[0] = (h[0] + c) % p
+        f = h[:0:-1]
+    points = []
+    for x in random.Random(f"points:{p}:{f}").sample(range(p), min(p, _POINT_DRAWS)):
+        y2 = sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
+        if y2 and pow(y2, (p - 1) // 2, p) == 1:
+            points.append(([-x % p, 1], [sqrt_mod(y2, p)]))
+            if len(points) == 2 * _DIVISORS:
+                break
+    # L(1) = q p + r for the first lift, and each next lift adds p
+    q, r = divmod(1 + a1 + first + p * a1 + p * p, p)
+    alive = set(lifts)
+    for i in range(0, len(points) - 1, 2):
+        div = jacobian_add(points[i], points[i + 1], f, p)
+        step = jacobian_mul([(p, div)], f, p)
+        acc = jacobian_mul([(q, step), (r, div)], f, p)
+        for j, a2 in enumerate(lifts):
+            acc = jacobian_add(acc, step, f, p) if j else acc
+            if acc != ([1], [0]):
+                alive.discard(a2)
+        if not alive:
+            raise InternalInconsistencyError(
+                f"no lift of a_2 = {res} mod {p} within the Weil bounds for a_1 = {a1}"
+                f" has an order of J(F_{p}) that kills {div}")
+        if len(alive) == 1:
+            return alive.pop()
+    return None
+
+
 def l_polynomial(curve):
     """Numerator of the zeta function, little-endian, degree 2g.
 
-    Coefficients a_1..a_g come from point counts over F_{p^k}, k <= g, via
-    Newton's identities; the upper half is filled in by a_{g+i} = p^i a_{g-i}.
+    a_1 comes from the point count over F_p. At genus 2, a_2 comes from
+    Manin's congruence and the order of J(F_p) (`_genus2_a2`), with the
+    count over F_{p^2} as the fallback; otherwise a_1..a_g come from point
+    counts over F_{p^k}, k <= g, via Newton's identities. The upper half is
+    filled in by a_{g+i} = p^i a_{g-i}.
     """
     g, p = curve.genus, curve.p
-    s = [p**k + 1 - point_count(curve, k) for k in range(1, g + 1)]
+    s = [p + 1 - point_count(curve, 1)]
+    if g == 2 and (a2 := _genus2_a2(curve, -s[0])) is not None:
+        return [1, -s[0], a2, -p * s[0], p * p]
+    s += [p**k + 1 - point_count(curve, k) for k in range(2, g + 1)]
     e = [1]
     for k in range(1, g + 1):
         acc = sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1))
@@ -369,17 +460,22 @@ def reduction_profile(curve):
     The L-polynomial, the slopes and the classification detail that needs
     them are computed only when p^g fits SLOPE_BUDGET (read at call time);
     otherwise the profile carries l_polynomial = slopes = None and whatever
-    the (f, a) pair alone determines.
+    the (f, a) pair alone determines. A computed L(T) must satisfy Manin's
+    congruence L(T) = det(I - T A_0) mod p in all g + 1 lower coefficients,
+    and the degree of that polynomial mod p must be the p-rank.
     """
     f = p_rank(curve)
     a = a_number(curve)
+    g, p = curve.genus, curve.p
     lpoly = slopes = None
-    if curve.p**curve.genus <= SLOPE_BUDGET:
+    if p**g <= SLOPE_BUDGET:
         lpoly = tuple(l_polynomial(curve))
-        slopes = tuple(newton_slopes(lpoly, curve.p))
-        if sum(1 for s in slopes if s == 0) != f:
+        manin = _manin(cartier_manin(curve), p)
+        if [c % p for c in lpoly[: g + 1]] != manin or len(poly_trim(manin)) - 1 != f:
             raise InternalInconsistencyError(
-                f"p-rank {f} disagrees with zero-slope multiplicity at p = {curve.p}"
+                f"L(T) = {lpoly[: g + 1]} + ... mod {p}, det(I - T A_0) = {manin}"
+                f" and p-rank {f} break Manin's congruence"
             )
+        slopes = tuple(newton_slopes(lpoly, p))
     profile = classify_group_scheme(curve.genus, f, a, slopes)
     return replace(profile, l_polynomial=lpoly)

@@ -177,8 +177,9 @@ def test_invariants_text_formats_l_polynomial(capsys):
 
 
 def test_invariants_counts_points_once(capsys, monkeypatch):
-    # the L-polynomial comes with the profile: one point count per k <= g,
-    # and one Cartier-Manin matrix serves both the p-rank and the a-number
+    # the L-polynomial comes with the profile: one point count per k <= g
+    # (k = 1 alone at g = 2), and one Cartier-Manin matrix serves the p-rank,
+    # the a-number, Manin's congruence and the genus-2 a_2
     counts, cartier = [], []
     count, half = invariants.point_count, invariants.half_power_coeffs
 
@@ -195,6 +196,8 @@ def test_invariants_counts_points_once(capsys, monkeypatch):
     for argv, ks in (
         (["invariants", "--curve", "weng-g3", "--p", "59"], [1, 2, 3]),
         (["verify", "--curve", "weng-g3", "--p", "59"], [1, 2, 3]),
+        # at g = 2 the order of J(F_p) gives a_2: no count over F_{p^2}
+        (["invariants", "--curve", "cyclo-5", "--p", "1447"], [1]),
         # 12-bit p is past the slope edge at g = 3: no point counts
         (["generate", "--curve", "weng-g3", "--type", "ordinary", "--bits", "12"], []),
     ):
@@ -205,7 +208,7 @@ def test_invariants_counts_points_once(capsys, monkeypatch):
         assert code == 0, argv
         assert sorted(counts) == ks, argv
         assert len(cartier) == 1, argv
-        if argv[0] == "invariants":
+        if argv[:3] == ["invariants", "--curve", "weng-g3"]:
             assert doc["result"]["l_polynomial"] == [1, 0, 0, 0, 0, 0, 205379]
 
 
@@ -293,6 +296,14 @@ def test_generate_json(capsys):
     assert res["prediction"]["certainty"] == "exact"
     assert res["verified_profile"]["a_number"] == 2
     assert res["reduced_curve"]["label"] == "cyclo-5-mod-p"
+
+
+def test_generate_bits_above_the_cap_exit_4(capsys):
+    code, out, err = run(capsys, "generate", "--curve", "cyclo-5", "--type", "ordinary",
+                         "--bits", "1025", "--json")
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "ResourceLimitError"
+    assert "at most 1024" in err
 
 
 def test_generate_text_skips_verification_for_large_p(capsys):

@@ -22,6 +22,8 @@ from cmreduce.ff_arith import (
     find_irreducible,
     half_power_coeffs,
     is_prime,
+    jacobian_add,
+    jacobian_mul,
     kronecker,
     matrix_rank,
     poly_deriv,
@@ -29,7 +31,9 @@ from cmreduce.ff_arith import (
     poly_gcd,
     poly_trim,
     poly_xpow,
+    sqrt_mod,
 )
+from cmreduce.invariants import ReducedCurve, point_count
 
 
 def trial_division(n):
@@ -300,6 +304,70 @@ def test_poly_divmod_identity():
             total[i] = (total[i] + c) % p
         assert poly_trim(total) == poly_trim([c % p for c in f])
         assert len(r) - 1 < len(poly_trim(g)) - 1 or r == [0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 97, 257, 65537, 2**31 - 1])
+def test_sqrt_mod_of_every_square(p):
+    # 65537 - 1 = 2^16: Tonelli-Shanks runs its longest loop there
+    rng = random.Random(p)
+    for x in [0, 1, p - 1] + [rng.randrange(p) for _ in range(200)]:
+        r = sqrt_mod(x * x, p)
+        assert r * r % p == x * x % p and 0 <= r < p
+
+
+ZERO = ([1], [0])
+
+
+def _points(f, p):
+    """Every affine F_p-point of y^2 = f(x) as a degree-one divisor class."""
+    out = []
+    for x in range(p):
+        y = sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
+        if y == 0 or pow(y, (p - 1) // 2, p) == 1:
+            out.append(([-x % p, 1], [sqrt_mod(y, p)] if y else [0]))
+    return out
+
+
+def _jacobian_order(f, p):
+    """#J(F_p) = L(1) from the point counts over F_p, ..., F_{p^g}."""
+    curve = ReducedCurve(p, f)
+    g = curve.genus
+    s = [p**k + 1 - point_count(curve, k) for k in range(1, g + 1)]
+    e = [1]
+    for k in range(1, g + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)) // k)
+    lower = [(-1) ** k * e[k] for k in range(g + 1)]
+    return sum(lower) + sum(p**i * lower[g - i] for i in range(1, g + 1))
+
+
+@pytest.mark.parametrize("p, degree", [(7, 5), (11, 5), (13, 5), (31, 5), (5, 7), (11, 7)])
+def test_jacobian_group_law(p, degree):
+    # random odd-degree curves of genus 2 and 3: the group is abelian and
+    # associative, D - D = 0, Weierstrass points are 2-torsion, and the
+    # order from the point counts kills every sum of points
+    rng = random.Random(p * degree)
+    while True:
+        f = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+        try:
+            order = _jacobian_order(f, p)
+            break
+        except DomainError:
+            continue
+    pts = _points(f, p)
+    assert len(pts) >= 4
+    divs = [jacobian_add(a, b, f, p) for a, b in zip(pts, pts[1:] + pts[:1])] + pts
+    for d1, d2, d3 in zip(divs, divs[1:] + divs[:1], divs[2:] + divs[:2]):
+        assert jacobian_add(d1, d2, f, p) == jacobian_add(d2, d1, f, p)
+        left = jacobian_add(jacobian_add(d1, d2, f, p), d3, f, p)
+        assert left == jacobian_add(d1, jacobian_add(d2, d3, f, p), f, p)
+        assert jacobian_add(d1, (d1[0], [-c % p for c in d1[1]]), f, p) == ZERO
+        assert jacobian_mul([(order, d1)], f, p) == ZERO
+        assert jacobian_mul([(3, d1), (2, d2)], f, p) == jacobian_add(
+            jacobian_add(jacobian_add(d1, d1, f, p), d1, f, p), jacobian_add(d2, d2, f, p), f, p)
+        assert jacobian_add(d1, ZERO, f, p) == d1 and jacobian_mul([(0, d1)], f, p) == ZERO
+    for u, v in pts:
+        if v == [0]:
+            assert jacobian_add((u, v), (u, v), f, p) == ZERO
 
 
 def test_poly_divmod_by_zero():

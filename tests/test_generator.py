@@ -351,6 +351,17 @@ def test_generate_large_prime_skips_verification(catalog):
     assert res.prediction.profile.type_name == "supersingular non-superspecial"
 
 
+def test_generate_refuses_bits_above_the_cap_without_searching(catalog, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("find_prime ran")
+
+    monkeypatch.setattr(generator, "find_prime", search)
+    with pytest.raises(ResourceLimitError, match="at most 1024"):
+        generate(catalog.record("cyclo-5"), "ordinary", generator.BITS_CAP + 1)
+    with pytest.raises(AssertionError, match="find_prime ran"):
+        generate(catalog.record("cyclo-5"), "ordinary", generator.BITS_CAP)
+
+
 def test_generate_factors_once_per_prime(catalog, monkeypatch):
     calls = []
     split = generator.split_by_factorization

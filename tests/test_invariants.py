@@ -11,6 +11,8 @@ F_{p^k}, k <= 4, against brute force, and counts over F_{p^(g+1)} beyond
 brute-force reach against the L-polynomial built from k <= g.
 """
 
+import itertools
+import math
 import operator
 import random
 import tracemalloc
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from cmreduce import (
     BadReductionError,
     DomainError,
+    InternalInconsistencyError,
     ReducedCurve,
     ResourceLimitError,
     a_number,
@@ -598,6 +601,127 @@ def test_l_polynomial_weil_bound():
         for i, a in enumerate(L):
             bound = math.comb(2 * g, i) * p ** (i / 2)
             assert abs(a) <= bound + 1e-9, (p, i)
+
+
+def _counted_l(curve):
+    """The L-polynomial from the point counts over F_p, ..., F_{p^g} alone."""
+    p, g = curve.p, curve.genus
+    s = [p**k + 1 - point_count(curve, k) for k in range(1, g + 1)]
+    e = [1]
+    for k in range(1, g + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)) // k)
+    lower = [(-1) ** k * e[k] for k in range(g + 1)]
+    return lower + [p**i * lower[g - i] for i in range(1, g + 1)]
+
+
+def _genus2_primes():
+    rng = random.Random(1447)
+    return [p for p in range(3, 401) if is_prime(p)] + sorted(
+        rng.sample([p for p in range(401, 1448) if is_prime(p)], 20))
+
+
+@pytest.mark.parametrize("label", ["wamelen-c1", "wamelen-c2", "cyclo-5"])
+def test_genus2_order_check_matches_count(catalog, label):
+    # the lift of a_2 = det A_0 mod p that the order of J(F_p) picks is the
+    # count's a_2 at every good prime <= 400 and 20 seeded primes up to 1447;
+    # only p = 3 has too few points to decide and falls back to the count
+    undecided = []
+    for p in _genus2_primes():
+        try:
+            curve = ReducedCurve(p, list(catalog.record(label).f_coeffs))
+        except BadReductionError:
+            continue
+        a1 = point_count(curve, 1) - p - 1
+        a2 = invariants._genus2_a2(curve, a1)
+        if a2 is None:
+            undecided.append(p)
+        else:
+            assert a2 == _counted_l(curve)[2], p
+    assert undecided == [3]
+
+
+def _no_root_sextic(p, rng):
+    # a product of irreducible quadratic and quartic factors has no F_p-root
+    while True:
+        q = [rng.randrange(p), rng.randrange(p), 1]
+        r = [rng.randrange(p) for _ in range(4)] + [1]
+        f = [sum(q[i] * r[k - i] for i in range(3) if 0 <= k - i <= 4) % p for k in range(7)]
+        if all(sum(c * pow(x, i, p) for i, c in enumerate(f)) % p for x in range(p)):
+            try:
+                return ReducedCurve(p, f)
+            except BadReductionError:
+                continue
+
+
+def test_genus2_random_models_match_the_count(monkeypatch):
+    # seeded random quintic and sextic models: the order check agrees with the
+    # count, and above p = 7 the count over F_{p^2} runs exactly for the
+    # sextics with no F_p-root; at p = 3 too few points leave ties
+    ks = []
+    count = invariants.point_count
+
+    def counted(curve, k=1):
+        ks.append(k)
+        return count(curve, k)
+
+    monkeypatch.setattr(invariants, "point_count", counted)
+    rng = random.Random(2)
+    cases = []
+    for p in (3, 5, 7, 11, 101, 409, 1009, 1447):
+        for degree in (5, 6, 6):
+            while True:
+                f = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+                try:
+                    cases.append(ReducedCurve(p, f))
+                    break
+                except BadReductionError:
+                    continue
+    cases += [_no_root_sextic(p, rng) for p in (7, 101, 1009)]
+    fell_back = []
+    for curve in cases:
+        ks.clear()
+        assert l_polynomial(curve) == _counted_l(curve), curve
+        p, f = curve.p, curve.coeffs
+        rootless = curve.degree == 6 and all(
+            sum(c * pow(x, i, p) for i, c in enumerate(f)) % p for x in range(p))
+        if rootless or p > 7:
+            assert (2 in ks) == rootless, curve
+        fell_back.append(2 in ks)
+    assert fell_back[-3:] == [True] * 3 and any(fell_back[:3])
+
+
+def test_manin_polynomial_matches_principal_minors():
+    # det(I - T A) = sum_k (-T)^k (sum of the principal k x k minors of A)
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7, 101):
+        for n in (1, 2, 3, 4):
+            a = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+            want = [1]
+            for k in range(1, n + 1):
+                total = 0
+                for rows in itertools.combinations(range(n), k):
+                    for perm in itertools.permutations(range(k)):
+                        sign = (-1) ** sum(perm[j] > perm[i] for i in range(k) for j in range(i))
+                        total += sign * math.prod(a[rows[i]][rows[perm[i]]] for i in range(k))
+                want.append((-1) ** k * total % p)
+            assert invariants._manin(a, p) == want, (p, a)
+
+
+@pytest.mark.parametrize("p, coeffs, entry", [(13, WENG, (2, 0)), (61, WAMELEN_C1, (1, 0))])
+def test_cartier_manin_perturbation_breaks_the_congruence(monkeypatch, p, coeffs, entry):
+    # one off-diagonal entry of A_0 moved, with rank(A_0^g) the same: the
+    # zero-slope count of the counted L(T) still equals the p-rank, but
+    # Manin's congruence (g = 3) and the order check (g = 2) refuse it
+    curve = ReducedCurve(p, coeffs)
+    a = [list(row) for row in cartier_manin(curve)]
+    good = p_rank(curve), invariants._manin(a, p)
+    a[entry[0]][entry[1]] = (a[entry[0]][entry[1]] + 1) % p
+    monkeypatch.setattr(invariants, "cartier_manin", lambda c: tuple(map(tuple, a)))
+    assert p_rank(curve) == good[0] and invariants._manin(a, p) != good[1]
+    slopes = newton_slopes(_counted_l(curve), p)
+    assert sum(1 for s in slopes if s == 0) == good[0]
+    with pytest.raises(InternalInconsistencyError):
+        l_polynomial(curve) if curve.genus == 2 else reduction_profile(curve)
 
 
 def test_newton_slopes_worked_values():
