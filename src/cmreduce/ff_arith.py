@@ -7,9 +7,10 @@ distinct-degree factoring, irreducible moduli, coefficients of
 f^((p-1)/2)), Cantor's group law on the Jacobian of an odd-degree
 hyperelliptic curve, and the rank of a matrix over F_p. Elements of F_p are
 plain ints, and polynomials are dense little-endian coefficient lists:
-index = exponent, no trailing zeros above the degree. Matrices are numpy int64 arrays, or whatever np.asarray reads as one
-(a tuple of row tuples, a list of rows), with entries in [0, p) once reduced;
-a product of two entries then stays below 2^62 for p < 2^31.
+index = exponent, no trailing zeros above the degree. Matrices are numpy
+int64 arrays, or whatever np.asarray reads as one (a tuple of row tuples, a
+list of rows), with entries in [0, p) once reduced; a product of two entries
+then stays below 2^62 for p < 2^31.
 
 is_prime keeps the Miller-Rabin verdict for the last n it ran on, so the
 public entries of one command, each checking its own p, pay for one proof.
@@ -18,9 +19,17 @@ x^(p^k) by composition.
 
 half_power_coeffs keeps every coefficient up to the highest one asked for,
 in int32, and computes each block of p - 1 of them as about sqrt(2p) chunks
-side by side, in about 2 sqrt(2p) numpy steps; factorize loops up to
-sqrt(n). Their callers bound those; the pure residue arithmetic here takes
-arbitrary-precision input.
+side by side, in about 2 sqrt(2p) numpy steps (sqrt(2p) after the first
+block, whose chunk transfer matrices the later blocks reuse); factorize
+loops up to sqrt(n). Their callers bound those; the pure residue arithmetic
+here takes arbitrary-precision input.
+
+jacobian_add answers the genus-2 sums that an order check makes, two
+coprime degree-2 divisors or the double of one, in closed form on plain
+ints: about 50 multiplications and two inversions mod p, with the exact
+pair that Cantor's list-polynomial composition and reduction return; that
+generic code stays the group law at every genus and for the rare pairs the
+closed form leaves.
 """
 
 import random
@@ -167,6 +176,7 @@ def half_power_coeffs(f, p, wanted):
     a = np.array([(e + 1) * i * gi * u % p for i, gi in enumerate(g)][:0:-1], dtype=np.int64)
     c = np.array([gi * u % p for gi in g][:0:-1], dtype=np.int64)
     n = min(_SLAB, (2**63 - 1) // (p - 1) ** 2)  # int64 products per sum
+    plan = None
     for base in range(0, top + 1, p):
         hk = pow(g[0], e, p)
         if base:  # t = [H^2 G]_k - G_j at k = jp, with H_k = 0 so far and H_0 = hk
@@ -180,7 +190,7 @@ def half_power_coeffs(f, p, wanted):
             hk = -t * pow(2 * hk * g[0], -1, p) % p
         h[base] = hk
         if base < top:
-            _recur(h, base, min(p - 1, top - base), a, c, inv, p, n)
+            plan = _recur(h, base, min(p - 1, top - base), a, c, inv, p, n, plan)
     return {m: int(h[ks[m]]) if ks.get(m, top + 1) <= top else 0 for m in wanted}
 
 
@@ -208,7 +218,7 @@ def _inverses(n, p):
     return inv
 
 
-def _recur(h, base, steps, a, c, inv, p, n):
+def _recur(h, base, steps, a, c, inv, p, n, plan=None):
     """Write H_{base+r} = sum_j (a_j / r - c_j) H_{base+r-d+j}, 1 <= r <= steps.
 
     The block runs as `chunks` chunks of `size` steps side by side. Pass 1
@@ -218,22 +228,29 @@ def _recur(h, base, steps, a, c, inv, p, n):
     chunks from their true states and writes H. Pass 1 costs d^2
     multiply-adds per step against d for the others, so wide recurrences
     run as one chunk: one dot product per step, and no passes 1 and 2.
+    Step r's factors depend on r alone, so pass 1 runs on the first block,
+    the longest, and its plan (size, transfer matrices) is returned for the
+    later blocks: a shorter one keeps the size and takes a prefix.
     """
     d = a.size
-    chunks = min(isqrt(2 * steps), _SLAB // (d * d)) if d < _WIDE else 1
-    size = -(-steps // chunks)
-    if 2 * size + chunks - 1 >= steps:  # no fewer steps than one chunk takes
-        size = steps
+    if plan is None:
+        chunks = min(isqrt(2 * steps), _SLAB // (d * d)) if d < _WIDE else 1
+        size = -(-steps // chunks)
+        if 2 * size + chunks - 1 >= steps:  # no fewer steps than one chunk takes
+            size = steps
+        first = 1 + size * np.arange(-(-steps // size) - 1)
+        eye = np.eye(d, dtype=np.int64)
+        plan = size, _steps(first, size, eye, a, c, inv, p, n).copy() if first.size else None
+    size, moves = plan
     chunks = -(-steps // size)
-    first = 1 + size * np.arange(chunks)
     state = np.zeros((chunks, d, 1), dtype=np.int64)
     lo = max(0, base + 1 - d)
     state[0, d - (base + 1 - lo) :, 0] = h[lo : base + 1]
-    if chunks > 1:
-        moves = _steps(first[:-1], size, np.eye(d, dtype=np.int64), a, c, inv, p, n).copy()
-        for i in range(chunks - 1):
-            _dot(moves[i], state[i], p, n, state[i + 1])
+    for i in range(chunks - 1):
+        _dot(moves[i], state[i], p, n, state[i + 1])
+    first = 1 + size * np.arange(chunks)
     _steps(first, size, state, a, c, inv, p, n, h[base + 1 : base + 1 + steps])
+    return plan
 
 
 def _steps(first, size, state, a, c, inv, p, n, out=None):
@@ -391,9 +408,67 @@ def sqrt_mod(a, p):
 
 
 def jacobian_add(d1, d2, f, p):
-    """The reduced sum of two divisor classes. Coprime u1, u2 compose by the
-    Chinese remainder theorem, and a doubling with gcd(u, 2v) = 1 by one
-    Hensel step; every other pair by Cantor's composition."""
+    """The reduced sum of two divisor classes.
+
+    D + 0 = D, D + (-D) = 0, and two points with x1 != x2 sum to the chord:
+    u = (x - x1)(x - x2) and v the line through them. At genus 2 (deg f =
+    5), two coprime monic quadratics u1, u2, or a doubling with 2v
+    invertible mod u, run Cantor's composition and its one reduction step on
+    plain ints: k is linear, the inverse of a linear residue mod a monic
+    quadratic comes from their resultant, v = v1 + u1 k, u' is the monic
+    quotient (f - v^2) / (u1 u2), read off its top three coefficients, and
+    v' = -v mod u'. That gives the pair `_cantor` gives. A zero resultant,
+    or k without an x term, and every other pair run `_cantor`, the group
+    law at every genus.
+    """
+    (u1, v1), (u2, v2) = d1, d2
+    if u2 == [1]:
+        return u1, v1
+    if u1 == [1]:
+        return u2, v2
+    if u1 == u2 and v2 == [-c % p for c in v1]:
+        return [1], [0]
+    if len(u1) == len(u2) == 2 and u1 != u2 and len(f) > 5:  # x1 = -u1[0]
+        k = (v2[0] - v1[0]) * pow(u1[0] - u2[0], -1, p) % p
+        return [u1[0] * u2[0] % p, (u1[0] + u2[0]) % p, 1], poly_trim([(v1[0] + k * u1[0]) % p, k])
+    if len(f) == 6 and len(u1) == len(u2) == 3:
+        (a0, a1, _), (b0, b1, _) = u1, u2
+        y0, y1 = v1[0], v1[1] if len(v1) > 1 else 0
+        if d1 == d2:  # k = w / 2v mod u, w = (f - v^2) / u = q3 x^3 + ... + q0
+            q3 = f[5]
+            q2 = f[4] - a1 * q3
+            q1 = f[3] - a1 * q2 - a0 * q3
+            q0 = f[2] - y1 * y1 - a1 * q1 - a0 * q2
+            w1, w0 = q3 * (a1 * a1 - a0) - a1 * q2 + q1, q3 * a1 * a0 - a0 * q2 + q0
+            r1, r0 = 2 * y1, 2 * y0
+        else:  # k = w / r mod u2, w = v2 - v1 and r = u1 mod u2
+            w1, w0 = (v2[1] if len(v2) > 1 else 0) - y1, v2[0] - y0
+            r1, r0 = a1 - b1, a0 - b0
+        res = (r0 * r0 - b1 * r0 * r1 + b0 * r1 * r1) % p  # resultant of r and u2
+        s1, s0 = -r1, r0 - b1 * r1  # r s = res mod u2
+        k1 = (w1 * s0 + w0 * s1 - b1 * w1 * s1) % p
+        if res and k1:
+            t = pow(res, -1, p)
+            k1, k0 = k1 * t % p, (w0 * s0 - b0 * w1 * s1) * t % p
+            h2, h1, h0 = (k0 + a1 * k1) % p, (a1 * k0 + a0 * k1 + y1) % p, (a0 * k0 + y0) % p
+            # v = k1 x^3 + h2 x^2 + h1 x + h0, and u1 u2 = x^4 + c3 x^3 + c2 x^2 + ...
+            c3, c2 = a1 + b1, a0 + b0 + a1 * b1
+            q2 = -k1 * k1
+            q1 = f[5] - 2 * k1 * h2 - c3 * q2
+            q0 = f[4] - h2 * h2 - 2 * k1 * h1 - c3 * q1 - c2 * q2
+            t = pow(q2, -1, p)
+            e1, e0 = q1 * t % p, q0 * t % p
+            # v mod u' by x^2 = -e1 x - e0 and x^3 = (e1^2 - e0) x + e1 e0
+            g1 = (k1 * (e1 * e1 - e0) - h2 * e1 + h1) % p
+            g0 = (k1 * e1 * e0 - h2 * e0 + h0) % p
+            return [e0, e1, 1], [-g0 % p, p - g1] if g1 else [-g0 % p]
+    return _cantor(d1, d2, f, p)
+
+
+def _cantor(d1, d2, f, p):
+    """Cantor's composition and reduction on list polynomials, at any genus:
+    coprime u1, u2 compose by the Chinese remainder theorem, a doubling with
+    gcd(u, 2v) = 1 by one Hensel step, and every other pair in general."""
     (u1, v1), (u2, v2) = d1, d2
     if d1 == d2:  # v' = v + u k with 2 v k = (f - v^2) / u mod u
         d, s = _xgcd(_padd(v1, v1, p), u1, p)

@@ -2,8 +2,9 @@
 
 Cross-checks against naive reimplementations with seeded randomness, so the
 fast paths (Kronecker-substitution multiply, DDF, echelon rank, the chunked
-Cartier-Manin recurrence against its per-coefficient loop) are never the
-only implementation of themselves.
+Cartier-Manin recurrence against its per-coefficient loop, the genus-2
+closed form of the group law against Cantor's list-polynomial code) are
+never the only implementation of themselves.
 """
 
 import math
@@ -15,7 +16,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from cmreduce import DomainError, NotSquarefreeError
+from cmreduce import DomainError, NotSquarefreeError, ff_arith
 from cmreduce.ff_arith import (
     factor_degree_profile,
     factorize,
@@ -241,6 +242,7 @@ def random_stride_poly(rng, p, deg_g, s, v):
     (65537, 3, 1, 0, None),  # blocks of 360 chunks, several slabs per pass
     (200003, 3, 1, 1, None),  # inverses of r in [2^17, 2^18) take two slabs
     (101, 50, 1, 0, None),  # deg G >= 50: one chunk per block
+    (1009, 5, 1, 0, 2 * 1009 + 11),  # 3 blocks of chunks of 23, the last of 10 steps
     (211, 57, 2, 2, None),
     (2**31 - 1, 8, 1, 0, 600),  # 8 (p - 1)^2 > 2^63: each product reduced
     (2**31 - 1, 5, 3, 2, 400),
@@ -368,6 +370,41 @@ def test_jacobian_group_law(p, degree):
     for u, v in pts:
         if v == [0]:
             assert jacobian_add((u, v), (u, v), f, p) == ZERO
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 31, 101, 397, 1447])
+def test_jacobian_closed_form_matches_cantor(p, monkeypatch):
+    # seeded random quintics, monic or not: every sum equals Cantor's
+    # composition and reduction, and from p = 101 on the closed form answers
+    # at least 90% of the sums and doubles of two degree-2 divisors
+    rng = random.Random(p)
+    cantor, generic = ff_arith._cantor, []
+    monkeypatch.setattr(ff_arith, "_cantor", lambda *a: generic.append(a) or cantor(*a))
+    closed = total = 0
+    for _ in range(6):
+        f = [rng.randrange(p) for _ in range(5)] + [rng.choice([1, rng.randrange(1, p)])]
+        if poly_gcd(f, poly_deriv(f, p), p) != [1]:
+            continue
+        pts = _points(f, p)
+        rng.shuffle(pts)
+        pairs = [(a, b) for a in pts[:6] for b in pts[:6]]  # chords, doubles, P - P
+        divs, first = [ZERO], len(pairs)  # then sums of disjoint pairs of points
+        pairs += list(zip(pts[:34:2], pts[1:34:2]))
+        for i in range(len(pairs) + 300):
+            if i >= len(pairs):  # then sums of earlier sums
+                a, b = rng.choice(divs), rng.choice(divs)
+                pairs += [(a, b), (a, a), (a, (a[0], [-c % p for c in a[1]])), (a, ZERO), (ZERO, b)]
+            d1, d2 = pairs[i]
+            generic.clear()
+            got = jacobian_add(d1, d2, f, p)
+            assert got == cantor(d1, d2, f, p), (f, p, d1, d2)
+            if len(d1[0]) == len(d2[0]) == 3 and d2 != (d1[0], [-c % p for c in d1[1]]):
+                closed, total = closed + (not generic), total + 1
+            if i >= first and got != ZERO and len(divs) < 100:
+                divs.append(got)
+    assert total > 200
+    if p >= 101:
+        assert closed >= 0.9 * total, (closed, total)
 
 
 def test_poly_divmod_by_zero():
