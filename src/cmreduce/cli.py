@@ -128,39 +128,25 @@ def cmd_count_types(args):
         raise UsageError("--g must be >= 1")
     total = count_E(args.g)
     prim = count_E_primitive(args.g)
-    result = {"g": args.g}
     if args.primitive:
-        result["primitive"] = prim
+        result = {"g": args.g, "primitive": prim}
+        lines = [f"g = {args.g}: {prim} primitive {'class' if prim == 1 else 'classes'}"]
     else:
-        result.update(total=total, primitive=prim, imprimitive=total - prim)
-    lines = []
-    if args.primitive:
-        word = "class" if prim == 1 else "classes"
-        lines.append(f"g = {args.g}: {prim} primitive {word}")
-    else:
-        word = "class" if total == 1 else "classes"
-        lines.append(
-            f"g = {args.g}: {total} {word}"
-            f" ({prim} primitive, {total - prim} imprimitive)"
-        )
+        result = {"g": args.g, "total": total, "primitive": prim, "imprimitive": total - prim}
+        lines = [f"g = {args.g}: {total} {'class' if total == 1 else 'classes'}"
+                 f" ({prim} primitive, {total - prim} imprimitive)"]
     if args.enumerate:
-        classes = enumerate_classes(args.g)
-        if args.primitive:
-            classes = [c for c in classes if c.primitive]
-        result["classes"] = [
-            {
-                "extended": "".join(map(str, c.representative.extended)),
-                "exponents": sorted(c.representative.exponents),
-                "period": c.period,
-                "primitive": c.primitive,
-            }
-            for c in classes
-        ]
-        for c in classes:
-            tag = "primitive" if c.primitive else "imprimitive"
+        result["classes"] = []
+        for c in enumerate_classes(args.g):
+            if args.primitive and not c.primitive:
+                continue
             ext = "".join(map(str, c.representative.extended))
-            exps = ",".join(map(str, sorted(c.representative.exponents)))
-            lines.append(f"  {ext}  period {c.period:>2}  {tag}  exponents {{{exps}}}")
+            exps = sorted(c.representative.exponents)
+            result["classes"].append(
+                {"extended": ext, "exponents": exps, "period": c.period, "primitive": c.primitive})
+            tag = "primitive" if c.primitive else "imprimitive"
+            lines.append(f"  {ext}  period {c.period:>2}  {tag}"
+                         f"  exponents {{{','.join(map(str, exps))}}}")
     return result, lines, EXIT_OK
 
 
@@ -169,21 +155,15 @@ def cmd_split(args):
     field = catalog.field(args.field)
     p = args.p
     method = args.method
+    if method == "auto":
+        method = "factor" if field.conductor is None else "residue"
     if method == "stickelberger":
         parity = splitting.stickelberger_parity(field, p)
         result = {"field": field.label, "p": p, "method": method, "parity": parity}
         word = "odd" if parity else "even"
         return result, [f"p = {p} in {field.label}: number of primes is {word}"], EXIT_OK
-    if method == "residue":
-        split = splitting.split_by_residue(field, p)
-    elif method == "factor":
-        split = splitting.split_by_factorization(field, p)
-    elif field.conductor is not None:
-        method = "residue"
-        split = splitting.split_by_residue(field, p)
-    else:
-        method = "factor"
-        split = splitting.split_by_factorization(field, p)
+    route = splitting.split_by_residue if method == "residue" else splitting.split_by_factorization
+    split = route(field, p)
     result = {"field": field.label, "p": p, "method": method}
     result.update(_split_json(split))
     shape = {1: "inert"}.get(split.num_primes, f"{split.num_primes} primes")

@@ -43,11 +43,11 @@ class CMType:
     bits: tuple
 
     def __post_init__(self):
-        b = tuple(int(c) for c in self.bits)
+        b = tuple(self.bits)
         if not b:
             raise DomainError("CMType: empty bit string")
-        if any(c not in (0, 1) for c in b):
-            raise DomainError("CMType: bits must be 0 or 1")
+        if any(type(c) is not int or c not in (0, 1) for c in b):  # bools and floats too
+            raise DomainError("CMType: bits must be the ints 0 and 1")
         object.__setattr__(self, "bits", b)
 
     @property

@@ -27,8 +27,8 @@ here takes arbitrary-precision input.
 jacobian_add answers the genus-2 sums that an order check makes, two
 coprime degree-2 divisors or the double of one, in closed form on plain
 ints: about 50 multiplications and two inversions mod p, with the exact
-pair that Cantor's list-polynomial composition and reduction return; that
-generic code stays the group law at every genus and for the rare pairs the
+pair that Cantor's general composition and reduction (`_cantor`) return;
+that code stays the group law at every genus and for the rare pairs the
 closed form leaves.
 """
 
@@ -466,30 +466,21 @@ def jacobian_add(d1, d2, f, p):
 
 
 def _cantor(d1, d2, f, p):
-    """Cantor's composition and reduction on list polynomials, at any genus:
-    coprime u1, u2 compose by the Chinese remainder theorem, a doubling with
-    gcd(u, 2v) = 1 by one Hensel step, and every other pair in general."""
+    """Cantor's general composition and reduction on list polynomials, at
+    any genus: d = gcd(u1, u2, v1 + v2) = s1 u1 + s2 u2 + s3 (v1 + v2),
+    u = u1 u2 / d^2, v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u,
+    then steps u <- (f - v^2) / u made monic, v <- -v mod u while deg u > g."""
     (u1, v1), (u2, v2) = d1, d2
-    if d1 == d2:  # v' = v + u k with 2 v k = (f - v^2) / u mod u
-        d, s = _xgcd(_padd(v1, v1, p), u1, p)
-        w = poly_divmod(_padd(f, _pmul(v1, v1, p), p, -1), u1, p)[0]
-        k = poly_divmod(_pmul(w, s, p), u1, p)[1]
-    else:  # v' = v1 + u1 k with k = (v2 - v1) / u1 mod u2
-        d, s = _xgcd(u1, u2, p)
-        k = poly_divmod(_pmul(s, _padd(v2, v1, p, -1), p), u2, p)[1]
-    if d == [1]:
-        u, v = _pmul(u1, u2, p), _padd(v1, _pmul(u1, k, p), p)
-    else:  # d = e1 u1 + e2 u2 = c1 d + c2 (v1 + v2), and v solves both by CRT
-        d0, e1 = _xgcd(u1, u2, p)
-        e2 = poly_divmod(_padd(d0, _pmul(e1, u1, p), p, -1), u2, p)[0]
-        w = _padd(v1, v2, p)
-        d, c1 = _xgcd(d0, w, p)
-        c2 = poly_divmod(_padd(d, _pmul(c1, d0, p), p, -1), w, p)[0] if w != [0] else [0]
-        u = poly_divmod(_pmul(u1, u2, p), _pmul(d, d, p), p)[0]
-        v = _padd(_pmul(_pmul(c1, e1, p), _pmul(u1, v2, p), p),
-                  _pmul(_pmul(c1, e2, p), _pmul(u2, v1, p), p), p)
-        v = _padd(v, _pmul(c2, _padd(_pmul(v1, v2, p), f, p), p), p)
-        v = poly_divmod(poly_divmod(v, d, p)[0], u, p)[1]
+    d0, e1 = _xgcd(u1, u2, p)  # d0 = e1 u1 + e2 u2
+    e2 = poly_divmod(_padd(d0, _pmul(e1, u1, p), p, -1), u2, p)[0]
+    w = _padd(v1, v2, p)
+    d, c1 = _xgcd(d0, w, p)  # d = c1 d0 + c2 w, so s1 = c1 e1, s2 = c1 e2, s3 = c2
+    c2 = poly_divmod(_padd(d, _pmul(c1, d0, p), p, -1), w, p)[0] if w != [0] else [0]
+    u = poly_divmod(_pmul(u1, u2, p), _pmul(d, d, p), p)[0]
+    v = _padd(_pmul(_pmul(c1, e1, p), _pmul(u1, v2, p), p),
+              _pmul(_pmul(c1, e2, p), _pmul(u2, v1, p), p), p)
+    v = _padd(v, _pmul(c2, _padd(_pmul(v1, v2, p), f, p), p), p)
+    v = poly_divmod(poly_divmod(v, d, p)[0], u, p)[1]
     while len(u) > (len(f) + 1) // 2:  # deg u > g
         u = poly_divmod(_padd(f, _pmul(v, v, p), p, -1), u, p)[0]
         inv = pow(u[-1], -1, p)

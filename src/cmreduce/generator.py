@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .cm_types import CMType
+from .cm_types import COUNT_CAP, CMType
 from .errors import (
     BadReductionError,
     CatalogError,
@@ -85,6 +85,18 @@ class CMCurveRecord:
             raise CatalogError(f"{self.label}: CM type size does not match genus")
 
 
+def _family_ell(pattern, label):
+    """l of a family label, or None. An l with (l - 1) / 2 above COUNT_CAP is
+    refused from the length of its digits, before int() reads them."""
+    m = pattern.match(label)
+    if m is None:
+        return None
+    digits = m.group(1).lstrip("0") or "0"
+    if len(digits) > len(str(2 * COUNT_CAP + 1)) or int(digits) > 2 * COUNT_CAP + 1:
+        raise ResourceLimitError(f"cyclotomic family: l capped at {2 * COUNT_CAP + 1}")
+    return int(digits)
+
+
 def _check_cyclo(ell):
     if ell < 3 or not is_prime(ell):
         raise CatalogError(f"cyclotomic family needs an odd prime, got {ell}")
@@ -129,9 +141,9 @@ class Catalog:
             return self.fields[label]
         if label in self._synth_fields:
             return self._synth_fields[label]
-        m = _CYCLO_FIELD_LABEL.match(label)
-        if m:
-            f = _cyclo_field(int(m.group(1)))
+        ell = _family_ell(_CYCLO_FIELD_LABEL, label)
+        if ell is not None:
+            f = _cyclo_field(ell)
             self._synth_fields[label] = f
             return f
         raise CatalogError(f"unknown field label {label!r}")
@@ -141,9 +153,8 @@ class Catalog:
             return self.curves[label]
         if label in self._synth_curves:
             return self._synth_curves[label]
-        m = _CYCLO_LABEL.match(label)
-        if m:
-            ell = int(m.group(1))
+        ell = _family_ell(_CYCLO_LABEL, label)
+        if ell is not None:
             c = _cyclo_record(ell, self.field(f"cyclotomic-{ell}"))
             self._synth_curves[label] = c
             return c
@@ -183,15 +194,17 @@ def _require_entry(raw, where, required, optional):
 
 def catalog_load(path=None):
     """Catalog from a JSON file; the packaged one when no path is given."""
-    if path is None:
-        text = resources.files("cmreduce").joinpath("catalog.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if path is None:
+            text = resources.files("cmreduce").joinpath("catalog.json").read_text()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise CatalogError(f"catalog is not valid JSON: {e}") from e
+    except (OSError, UnicodeDecodeError, RecursionError) as e:  # RecursionError: deep nesting
+        raise CatalogError(f"cannot read catalog {path}: {e}") from e
     _require(isinstance(data, dict), "catalog", "top level must be an object")
     _require(_is_int(data.get("version")) and data["version"] == CATALOG_VERSION, "catalog",
              f"version must be {CATALOG_VERSION}")
@@ -266,19 +279,14 @@ def _split_auto(field, p):
 
 def _normalize_target(name):
     t = name.strip().lower().replace(" ", "-").replace("_", "-")
-    aliases = {
-        "ssing-non-sspec": "supersingular-non-superspecial",
-        "supersingular-non-superspecial": "supersingular-non-superspecial",
-        "ordinary": "ordinary",
-        "superspecial": "superspecial",
-        "supersingular": "supersingular",
-    }
-    if t not in aliases:
+    if t == "ssing-non-sspec":
+        t = "supersingular-non-superspecial"
+    if t not in {"ordinary", "superspecial", "supersingular", "supersingular-non-superspecial"}:
         raise DomainError(
             f"unknown target type {name!r}; use ordinary, superspecial,"
             " supersingular (g = 1), or ssing-non-sspec (g = 2)"
         )
-    return aliases[t]
+    return t
 
 
 def _resolve_target(record, target_type):

@@ -267,17 +267,18 @@ def _genus2_a2(curve, a1):
     """a_2 of a genus-2 curve with L(T) = 1 + a1 T + ..., from Manin's
     congruence and the order of J(F_p), or None when this route cannot tell.
 
-    a_2 = det A_0 mod p, and the Weil bounds put a_2 in [2 sqrt(p) |a1| - 2p,
-    a1^2 / 4 + 2p], so at most 5 lifts spaced p apart remain, each giving an
-    order L(1) of J(F_p). The odd model takes the least F_p-root r of a
-    sextic to infinity, t^6 f(r + 1/t), which leaves L unchanged. Each
-    divisor P_1 + P_2, from points in a seeded order, keeps the lifts whose
-    order kills it: no survivor is an inconsistency, one is a_2, and a tie
-    after _DIVISORS divisors (or a sextic with no root, or too few points)
-    gives None.
+    a_2 = det A_0 mod p (the T^2 term of det(I - T A_0)), and the Weil bounds
+    put a_2 in [2 sqrt(p) |a1| - 2p, a1^2 / 4 + 2p], so at most 5 lifts
+    spaced p apart remain, each giving an order L(1) of J(F_p). The odd
+    model takes the least F_p-root r of a sextic to infinity, t^6 f(r + 1/t),
+    which leaves L unchanged. Each divisor P_1 + P_2, from points in a seeded
+    order, keeps the lifts whose order kills it: no survivor is an
+    inconsistency, one is a_2, and a tie after _DIVISORS divisors (or a
+    sextic with no root, or too few points) gives None.
     """
     p, f = curve.p, list(curve.coeffs)
-    res = _manin(cartier_manin(curve), p)[2]
+    (m00, m01), (m10, m11) = cartier_manin(curve)
+    res = (m00 * m11 - m01 * m10) % p
     b = 4 * p * a1 * a1  # 2 sqrt(p) |a1| = sqrt(b)
     first = isqrt(b) + (isqrt(b) ** 2 < b) - 2 * p
     first += (res - first) % p

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from importlib import resources
 
@@ -135,6 +136,28 @@ def test_split_ramified_is_domain_error(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("ell", ["28019", "7" * 5000], ids=["28019", "5000-digits"])
+@pytest.mark.parametrize("argv", [("split", "--field", "cyclotomic"),
+                                  ("invariants", "--curve", "cyclo")], ids=["field", "curve"])
+def test_cyclotomic_family_above_the_genus_cap_exit_4(capsys, argv, ell):
+    # (l - 1) / 2 > COUNT_CAP: 28019 is the first prime above 28001, and the
+    # 5000-digit l is refused before int() reads it
+    argv = [*argv[:2], f"{argv[2]}-{ell}"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--p", "3", "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "ResourceLimitError"
+    assert err == f"error: cyclotomic family: l capped at {2 * cm_types.COUNT_CAP + 1}\n"
+
+
+def test_cyclotomic_family_at_the_genus_cap(capsys):
+    # l = 28001 is prime and has (l - 1) / 2 = COUNT_CAP
+    code, out, _ = run(capsys, "split", "--field", "cyclotomic-28001", "--p", "3")
+    assert code == 0
+    assert "inert, inertia degree 28000" in out
 
 
 def test_split_non_prime(capsys):
@@ -455,6 +478,50 @@ def test_user_cyclotomic_field_does_not_extend_the_family(capsys, tmp_path):
                        "--catalog", str(path))
     assert code == 3
     assert "needs an odd prime, got 9" in err
+
+
+def test_split_auto_without_conductor_factors(capsys, tmp_path):
+    # auto takes the residue route only when the field has a conductor
+    path = write_user_cyclotomic_catalog(tmp_path)
+    argv = ["split", "--field", "cyclotomic-7", "--p", "29", "--catalog", str(path)]
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["result"]["method"] == "factor"
+    assert doc["result"]["num_primes"] == 6
+    code, doc, _ = run_json(capsys, *argv, "--method", "residue")
+    assert code == 3
+    assert doc["error"]["type"] == "MissingDataError"
+
+
+def unreadable_catalog(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "nonexistent.json"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / f"{kind}.json"
+    if kind == "undecodable":
+        path.write_bytes(b"\xff\xfe" + SHIPPED.encode())
+    else:  # valid JSON nested deeper than the parser recurses
+        path.write_text("[" * 200_000 + "]" * 200_000)
+    return path
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable", "nested"])
+def test_unreadable_catalog_exit_3(capsys, tmp_path, monkeypatch, kind, via):
+    path = unreadable_catalog(tmp_path, kind)
+    argv = ["split", "--field", "cyclotomic-5", "--p", "7", "--json"]
+    if via == "flag":
+        argv += ["--catalog", str(path)]
+    else:
+        monkeypatch.setenv("CM_REDUCE_CATALOG", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["command"] == "split"
+    assert doc["error"]["type"] == "CatalogError"
+    assert doc["error"]["message"].startswith(f"cannot read catalog {path}: ")
+    assert err.startswith("error: cannot read catalog")
 
 
 def test_catalog_env_variable(capsys, tmp_path, monkeypatch):

@@ -52,6 +52,13 @@ def test_from_exponents_validation():
         CMType.from_exponents(0, set())
 
 
+@pytest.mark.parametrize("bits", [(0.9, 1), (0, 1.0), (True, 0), (0, False), ("0", "1"), "01"])
+def test_cm_type_refuses_bits_that_are_not_the_ints_0_and_1(bits):
+    # int() would have read each of these as a valid bit string
+    with pytest.raises(DomainError, match="bits must be the ints 0 and 1"):
+        CMType(bits)
+
+
 def test_cm_type_is_immutable():
     t = CMType.from_exponents(2, {0, 1})
     with pytest.raises(AttributeError):
