@@ -8,6 +8,8 @@ label), 4 resource limit or prime-search timeout, 5 verification mismatch,
 """
 
 import argparse
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -40,6 +42,10 @@ def _load_catalog(args):
     return generator.catalog_load(path)
 
 
+def _record(args):
+    return _load_catalog(args).record(args.curve)
+
+
 def format_poly(coeffs, var="T"):
     """Little-endian integer coefficients as a descending-power string."""
     terms = []
@@ -69,16 +75,8 @@ def _slopes_json(slopes):
 def _slopes_text(slopes):
     if slopes is None:
         return "not computed"
-    out = []
-    i = 0
-    while i < len(slopes):
-        j = i
-        while j < len(slopes) and slopes[j] == slopes[i]:
-            j += 1
-        run = f"{slopes[i]}" + (f" x{j - i}" if j - i > 1 else "")
-        out.append(run)
-        i = j
-    return ", ".join(out)
+    runs = ((s, len(list(run))) for s, run in itertools.groupby(slopes))
+    return ", ".join(f"{s} x{n}" if n > 1 else f"{s}" for s, n in runs)
 
 
 def _profile_json(profile):
@@ -94,13 +92,7 @@ def _profile_json(profile):
 
 
 def _split_json(split):
-    if split is None:
-        return None
-    return {
-        "num_primes": split.num_primes,
-        "inertia_degree": split.inertia_degree,
-        "ramified": split.ramified,
-    }
+    return None if split is None else dataclasses.asdict(split)
 
 
 def _prediction_json(pred):
@@ -110,16 +102,6 @@ def _prediction_json(pred):
         "certainty": pred.certainty,
         "source": pred.source,
         "profile": _profile_json(pred.profile),
-    }
-
-
-def _curve_json(label, curve, field_label, provenance):
-    return {
-        "label": label,
-        "genus": curve.genus,
-        "f_coeffs": list(curve.coeffs),
-        "field_label": field_label,
-        "provenance": provenance,
     }
 
 
@@ -151,8 +133,7 @@ def cmd_count_types(args):
 
 
 def cmd_split(args):
-    catalog = _load_catalog(args)
-    field = catalog.field(args.field)
+    field = _load_catalog(args).field(args.field)
     p = args.p
     method = args.method
     if method == "auto":
@@ -175,8 +156,7 @@ def cmd_split(args):
 
 
 def cmd_invariants(args):
-    catalog = _load_catalog(args)
-    record = catalog.record(args.curve)
+    record = _record(args)
     if args.p >= generator.VERIFY_CAP:
         raise ResourceLimitError(
             f"invariants: p must be below {generator.VERIFY_CAP}"
@@ -208,22 +188,21 @@ def cmd_invariants(args):
 
 
 def cmd_generate(args):
-    catalog = _load_catalog(args)
-    record = catalog.record(args.curve)
+    record = _record(args)
     out = generator.generate(record, args.type, args.bits, seed=args.seed)
-    reduced_label = f"{record.label}-mod-p"
     result = {
         "curve": record.label,
         "target_type": out.target_type,
         "bits": args.bits,
         "seed": args.seed,
         "p": out.p,
-        "reduced_curve": _curve_json(
-            reduced_label,
-            out.curve,
-            record.field.label,
-            f"reduction of {record.label} at a generated prime",
-        ),
+        "reduced_curve": {
+            "label": f"{record.label}-mod-p",
+            "genus": out.curve.genus,
+            "f_coeffs": list(out.curve.coeffs),
+            "field_label": record.field.label,
+            "provenance": f"reduction of {record.label} at a generated prime",
+        },
         "prediction": _prediction_json(out.prediction),
         "verified_profile": _profile_json(out.verified_profile),
     }
@@ -254,8 +233,7 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
-    catalog = _load_catalog(args)
-    record = catalog.record(args.curve)
+    record = _record(args)
     if args.p is not None:
         report = generator.verify(record, args.p)
         res = generator.SweepResult(record.label, args.p, (report,), ())

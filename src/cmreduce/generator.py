@@ -37,8 +37,6 @@ CATALOG_VERSION = 1
 VERIFY_CAP = 1 << 20
 BITS_CAP = 1024  # largest bit size generate searches
 _GENERATE_RETRIES = 64
-_CYCLO_LABEL = re.compile(r"cyclo-(\d+)\Z")
-_CYCLO_FIELD_LABEL = re.compile(r"cyclotomic-(\d+)\Z")
 
 
 def _rational_squarefree(coeffs):
@@ -85,10 +83,10 @@ class CMCurveRecord:
             raise CatalogError(f"{self.label}: CM type size does not match genus")
 
 
-def _family_ell(pattern, label):
-    """l of a family label, or None. An l with (l - 1) / 2 above COUNT_CAP is
+def _family_ell(family, label):
+    """l of a label family-l, or None. An l with (l - 1) / 2 above COUNT_CAP is
     refused from the length of its digits, before int() reads them."""
-    m = pattern.match(label)
+    m = re.fullmatch(family + r"-(\d+)", label)
     if m is None:
         return None
     digits = m.group(1).lstrip("0") or "0"
@@ -133,32 +131,25 @@ class Catalog:
     def __init__(self, fields, curves):
         self.fields = {f.label: f for f in fields}
         self.curves = {c.label: c for c in curves}
-        self._synth_fields = {}
-        self._synth_curves = {}
+        self._synth = {}
+
+    def _entry(self, label, listed, family, kind, synthesize):
+        if label in listed:
+            return listed[label]
+        key = (family, label)  # so a label is never found as the other kind
+        if key not in self._synth:
+            ell = _family_ell(family, label)
+            if ell is None:
+                raise CatalogError(f"unknown {kind} label {label!r}")
+            self._synth[key] = synthesize(ell)
+        return self._synth[key]
 
     def field(self, label):
-        if label in self.fields:
-            return self.fields[label]
-        if label in self._synth_fields:
-            return self._synth_fields[label]
-        ell = _family_ell(_CYCLO_FIELD_LABEL, label)
-        if ell is not None:
-            f = _cyclo_field(ell)
-            self._synth_fields[label] = f
-            return f
-        raise CatalogError(f"unknown field label {label!r}")
+        return self._entry(label, self.fields, "cyclotomic", "field", _cyclo_field)
 
     def record(self, label):
-        if label in self.curves:
-            return self.curves[label]
-        if label in self._synth_curves:
-            return self._synth_curves[label]
-        ell = _family_ell(_CYCLO_LABEL, label)
-        if ell is not None:
-            c = _cyclo_record(ell, self.field(f"cyclotomic-{ell}"))
-            self._synth_curves[label] = c
-            return c
-        raise CatalogError(f"unknown curve label {label!r}")
+        return self._entry(label, self.curves, "cyclo", "curve",
+                           lambda ell: _cyclo_record(ell, self.field(f"cyclotomic-{ell}")))
 
 
 def _require(cond, where, msg):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -19,7 +20,7 @@ from cmreduce import (
     generator,
     invariants,
 )
-from cmreduce.cli import main
+from cmreduce.cli import _slopes_text, main
 from cmreduce.ff_arith import is_prime
 
 P128 = str((1 << 128) + 51)  # inert in the quartic field
@@ -111,6 +112,14 @@ def test_split_residue_json(capsys):
     assert res["inertia_degree"] == 4
 
 
+def test_split_json_key_order(capsys):
+    code, doc, _ = run_json(capsys, "split", "--field", "sextic-5-2", "--p", "17",
+                            "--method", "factor")
+    assert code == 0
+    assert list(doc["result"]) == ["field", "p", "method", "num_primes",
+                                   "inertia_degree", "ramified"]
+
+
 def test_split_factor_text(capsys):
     code, out, _ = run(capsys, "split", "--field", "sextic-5-2", "--p", "17",
                        "--method", "factor")
@@ -190,6 +199,22 @@ def test_invariants_names_mixed_slopes_above_genus_3(capsys):
     assert (res["group_scheme"], res["type_name"]) == ("unclassified (genus 5)", "mixed")
     code, out, _ = run(capsys, "invariants", "--curve", "cyclo-11", "--p", "3")
     assert "group scheme unclassified (genus 5) (mixed)" in out
+
+
+@pytest.mark.parametrize("curve, p, slopes", [
+    ("cyclo-5", "7", "1/2 x4"),
+    ("cyclo-5", "11", "0 x2, 1 x2"),
+    ("cyclo-11", "3", "1/5 x5, 4/5 x5"),
+])
+def test_invariants_text_slope_runs(capsys, curve, p, slopes):
+    code, out, _ = run(capsys, "invariants", "--curve", curve, "--p", p)
+    assert code == 0
+    assert f"  slopes: {slopes}\n" in out
+
+
+def test_slopes_text_counts_each_run():
+    half = Fraction(1, 2)
+    assert _slopes_text((Fraction(0), half, half, Fraction(1))) == "0, 1/2 x2, 1"
 
 
 def test_invariants_text_formats_l_polynomial(capsys):
@@ -358,6 +383,7 @@ def test_verify_single_prime_json(capsys):
     assert rows[0]["predicted"] == [3, 0]
     assert rows[0]["computed"] == [3, 0]
     assert rows[0]["match"] is True
+    assert list(rows[0]["splitting"]) == ["num_primes", "inertia_degree", "ramified"]
     assert doc["result"]["mismatches"] == []
 
 

@@ -115,10 +115,22 @@ def test_cyclotomic_synthesis_rejects_bad_moduli(catalog):
         catalog.record("cyclo-4")  # even
     with pytest.raises(CatalogError):
         catalog.record("cyclo-9")  # prime power, not prime
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError, match=r"^unknown curve label 'no-such-curve'$"):
         catalog.record("no-such-curve")
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError, match=r"^unknown field label 'no-such-field'$"):
         catalog.field("no-such-field")
+
+
+def test_family_labels_are_not_found_as_the_other_kind():
+    # a synthesized member is cached per family, so a lookup of one kind
+    # never hands the other kind's entry back under the same label
+    catalog = catalog_load()
+    catalog.field("cyclotomic-7")
+    with pytest.raises(CatalogError, match=r"^unknown curve label 'cyclotomic-7'$"):
+        catalog.record("cyclotomic-7")
+    catalog.record("cyclo-7")
+    with pytest.raises(CatalogError, match=r"^unknown field label 'cyclo-7'$"):
+        catalog.field("cyclo-7")
 
 
 def load_variant(tmp_path, mutate):
