@@ -96,8 +96,6 @@ def _split_json(split):
 
 
 def _prediction_json(pred):
-    if pred is None:
-        return None
     return {
         "certainty": pred.certainty,
         "source": pred.source,

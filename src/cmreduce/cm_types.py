@@ -27,13 +27,9 @@ def cyclic_period(bits):
     The minimal shift period always divides the length.
     """
     b = [int(c) for c in bits]
-    n = len(b)
-    if n == 0:
+    if not b:
         raise DomainError("cyclic_period: empty string")
-    for k in range(1, n + 1):
-        if n % k == 0 and all(b[i] == b[(i + k) % n] for i in range(n)):
-            return k
-    raise AssertionError("unreachable: period n always fixes the string")
+    return next(k for k in range(1, len(b) + 1) if b[k:] + b[:k] == b)
 
 
 @dataclass(frozen=True)
@@ -111,36 +107,28 @@ def enumerate_classes(g):
     """One canonical representative per rotation class, with periods.
 
     Scans all 2**g strings once; a bitmap of visited orbits keeps the total
-    work near 2**g. Capped at g = 24.
+    work near 2**g. Capped at g = 24. A rotation of a type string is again a
+    type string, fixed by its high half, so the least unseen high half v is
+    the least rotation of its class.
     """
     if g < 1:
         raise DomainError("enumerate_classes: g must be >= 1")
     if g > ENUMERATION_CAP:
         raise ResourceLimitError(f"enumerate_classes: g capped at {ENUMERATION_CAP}")
-    n = 2 * g
-    mask = (1 << n) - 1
     half = (1 << g) - 1
     seen = bytearray((1 << g) // 8 + 1)
     out = []
     for v in range(1 << g):
         if seen[v >> 3] & (1 << (v & 7)):
             continue
-        # pack the extended string MSB-first so lex order is numeric order
-        ext = (v << g) | (~v & half)
-        rot = ext
-        best = ext
-        k = 0
-        while True:
-            h = rot >> g
+        # one rotation of the extended string shifts its high half h, read
+        # MSB-first, left and brings in the complement of the bit shifted out
+        h, k = v, 0
+        while not k or h != v:
             seen[h >> 3] |= 1 << (h & 7)
-            rot = ((rot << 1) | (rot >> (n - 1))) & mask
+            h = ((h << 1) & half) | (1 - (h >> (g - 1)))
             k += 1
-            if rot == ext:
-                break
-            if rot < best:
-                best = rot
-        bits = tuple((best >> (n - 1 - i)) & 1 for i in range(g))
-        out.append(TypeClass(CMType(bits), k))
+        out.append(TypeClass(CMType(tuple((v >> (g - 1 - i)) & 1 for i in range(g))), k))
     return out
 
 

@@ -268,21 +268,9 @@ def _split_auto(field, p):
         return None
 
 
-def _normalize_target(name):
-    t = name.strip().lower().replace(" ", "-").replace("_", "-")
-    if t == "ssing-non-sspec":
-        t = "supersingular-non-superspecial"
-    if t not in {"ordinary", "superspecial", "supersingular", "supersingular-non-superspecial"}:
-        raise DomainError(
-            f"unknown target type {name!r}; use ordinary, superspecial,"
-            " supersingular (g = 1), or ssing-non-sspec (g = 2)"
-        )
-    return t
-
-
 def _resolve_target(record, target_type):
     """(normalized name, find_prime target) for this record's genus."""
-    t = _normalize_target(target_type)
+    t = target_type.strip().lower().replace(" ", "-").replace("_", "-")
     g = record.genus
     if t == "ordinary":
         return t, 2 * g
@@ -295,13 +283,18 @@ def _resolve_target(record, target_type):
             "supersingular is ambiguous above genus 1; ask for superspecial"
             " or ssing-non-sspec"
         )
+    if t not in ("ssing-non-sspec", "supersingular-non-superspecial"):
+        raise DomainError(
+            f"unknown target type {target_type!r}; use ordinary, superspecial,"
+            " supersingular (g = 1), or ssing-non-sspec (g = 2)"
+        )
     # supersingular non-superspecial: inert primes, reached through the
     # Kronecker-symbol shortcut on quartic fields
     if g != 2:
         raise DomainError(
             "ssing-non-sspec generation is only supported at genus 2"
         )
-    return t, ("kronecker", -1)
+    return "supersingular-non-superspecial", ("kronecker", -1)
 
 
 def _meets_target(field, target, p, split):
@@ -341,8 +334,6 @@ def generate(record, target_type, bit_size, seed=0):
     if bit_size > BITS_CAP:
         raise ResourceLimitError(f"generate: bit size must be at most {BITS_CAP}")
     name, target = _resolve_target(record, target_type)
-    p = None
-    curve = None
     for attempt in range(_GENERATE_RETRIES):
         p = find_prime(record.field, target, bit_size, seed=f"{seed}.{attempt}")
         try:
@@ -350,7 +341,7 @@ def generate(record, target_type, bit_size, seed=0):
             break
         except BadReductionError:
             continue
-    if curve is None:
+    else:
         raise BadReductionError(
             p, f"no good-reduction prime in {_GENERATE_RETRIES} prime searches"
         )

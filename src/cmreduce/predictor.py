@@ -3,10 +3,12 @@
 For a cyclic CM field with primitive CM type and principal p, the reduction
 theorems (Deuring for g = 1, Goren for cyclic quartic fields, the sextic and
 general-degree theorems) read only m, the number of primes above p: m = 2g
-gives ordinary reduction and m = g superspecial. Between those ends one small
-table holds the rest, and Deuring's criterion also covers ramified p at
-g = 1. Predicted profiles are named by the classifier that names computed
-ones. Alongside sits the type-norm combinatorics the proofs run on.
+gives ordinary reduction and m = g superspecial. Strictly between them, at
+g = 2 and 3, the p-rank is 0 and the a-number m, with every slope 1/2 at
+g = 2 and the slopes open at g = 3; from g = 4 on nothing is pinned.
+Deuring's criterion also covers ramified p at g = 1. Predicted profiles are
+named by the classifier that names computed ones. Alongside sits the
+type-norm combinatorics the proofs run on.
 """
 
 from dataclasses import dataclass
@@ -18,10 +20,6 @@ from .invariants import ReductionProfile, classify_group_scheme
 _SOURCES = {1: "Deuring reduction criterion", 2: "Goren quartic reduction theorem",
             3: "sextic cyclic reduction theorem"}
 _GENERAL_SOURCE = "general-degree CM reduction theorem"
-
-# (g, m) strictly between the ends -> certainty. Each pins p-rank 0 and
-# a-number m; an exact entry also pins every slope at 1/2, a partial one none.
-_INTERIOR = {(2, 1): "exact", (3, 2): "partial", (3, 1): "partial"}
 
 
 @dataclass(frozen=True)
@@ -66,11 +64,11 @@ def predict_for_genus(g, split):
         return Prediction(classify_group_scheme(g, g, 0, slopes), "exact", source)
     if m == g:
         return Prediction(classify_group_scheme(g, 0, g, half), "exact", source)
-    certainty = _INTERIOR.get((g, m))
-    if certainty is None:
-        return Prediction(None, "undetermined", source)
-    slopes = half if certainty == "exact" else None
-    return Prediction(classify_group_scheme(g, 0, m, slopes), certainty, source)
+    if g == 2:
+        return Prediction(classify_group_scheme(2, 0, m, half), "exact", source)
+    if g == 3:
+        return Prediction(classify_group_scheme(3, 0, m, None), "partial", source)
+    return Prediction(None, "undetermined", source)
 
 
 def type_norm_orbit(phi, num_primes):

@@ -17,7 +17,7 @@ from .errors import (
     PrimeSearchTimeout,
     RamifiedPrimeError,
 )
-from .ff_arith import factor_degree_profile, is_prime, kronecker, poly_trim
+from .ff_arith import factor_degree_profile, is_prime, kronecker
 
 FIND_PRIME_ATTEMPT_CAP = 10**6
 
@@ -109,6 +109,9 @@ class CyclicCMField:
             # {unit residue: inertia degree}, the order of its coset
             self.inertia_degrees = {r: two_g // math.gcd(i, two_g) for r, i in log.items()}
             self.unit_subgroup = h
+        # subfields of degrees d_i of a cyclic field generate one of degree lcm d_i
+        if (e := math.lcm(*(len(q) - 1 for q in polys))) != two_g:
+            raise DomainError(f"CyclicCMField: defining polynomials give degree {e}, not {two_g}")
 
     @property
     def g(self):
@@ -164,8 +167,7 @@ def split_by_factorization(field, p):
         raise DomainError(f"split_by_factorization: {p} is not prime")
     degrees = []
     for q in field.defining_polys:
-        qp = poly_trim([c % p for c in q])
-        profile = factor_degree_profile(qp, p)
+        profile = factor_degree_profile(q, p)
         if len(set(profile)) != 1:
             raise InternalInconsistencyError(
                 f"{field.label}: unequal factor degrees {profile} at p = {p},"

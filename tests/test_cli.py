@@ -51,6 +51,12 @@ def test_count_types_singular_grammar(capsys):
     assert "classes" not in out
 
 
+def test_count_types_enumerate_primitive_only(capsys):
+    code, out, _ = run(capsys, "count-types", "--g", "3", "--primitive", "--enumerate")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["000111"]
+
+
 def test_count_types_enumerate_json(capsys):
     code, doc, _ = run_json(capsys, "count-types", "--g", "4", "--enumerate")
     assert code == 0
@@ -205,6 +211,7 @@ def test_invariants_names_mixed_slopes_above_genus_3(capsys):
     ("cyclo-5", "7", "1/2 x4"),
     ("cyclo-5", "11", "0 x2, 1 x2"),
     ("cyclo-11", "3", "1/5 x5, 4/5 x5"),
+    ("weng-g3", "12289", "not computed"),  # above the slope edge
 ])
 def test_invariants_text_slope_runs(capsys, curve, p, slopes):
     code, out, _ = run(capsys, "invariants", "--curve", curve, "--p", p)
@@ -476,7 +483,7 @@ def write_user_cyclotomic_catalog(tmp_path):
     data["fields"] += [
         {"label": "cyclotomic-7", "two_g": 6, "discriminant": -16807,
          "defining_polys": [[1] * 7]},
-        {"label": "cyclotomic-9", "two_g": 8, "discriminant": 3**10,
+        {"label": "cyclotomic-9", "two_g": 6, "discriminant": -(3**9),
          "defining_polys": [[1, 0, 0, 1, 0, 0, 1]]},
     ]
     path = tmp_path / "cyclo.json"
@@ -517,6 +524,50 @@ def test_split_auto_without_conductor_factors(capsys, tmp_path):
     code, doc, _ = run_json(capsys, *argv, "--method", "residue")
     assert code == 3
     assert doc["error"]["type"] == "MissingDataError"
+
+
+def test_field_whose_polynomials_miss_its_degree_is_refused(capsys, tmp_path):
+    # x^6 + x^3 + 1 generates Q(zeta_9), of degree 6, not the 8 the entry claims
+    data = json.loads(SHIPPED)
+    data["fields"].append({"label": "cyclotomic-9", "two_g": 8, "discriminant": 3**10,
+                           "defining_polys": [[1, 0, 0, 1, 0, 0, 1]]})
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps(data))
+    code, doc, _ = run_json(capsys, "split", "--field", "cyclotomic-9", "--p", "13",
+                            "--catalog", str(path))
+    assert code == 3
+    assert doc["error"]["type"] == "CatalogError"
+    assert doc["error"]["message"] == (
+        f"fields[{len(data['fields']) - 1}]: CyclicCMField: defining polynomials give degree 6,"
+        " not 8")
+
+
+def test_verify_falls_back_to_residues_at_an_index_divisor(capsys, tmp_path):
+    # x^2 + 9 = x^2 mod 3 although 3 is unramified in Q(i): the residue of 3
+    # mod the conductor 4 makes it inert, and y^2 = x^3 - x is supersingular
+    data = json.loads(SHIPPED)
+    data["fields"].append({"label": "gauss", "two_g": 2, "discriminant": -4,
+                           "defining_polys": [[9, 0, 1]], "conductor": 4})
+    data["curves"].append({"label": "y2-x3-x", "genus": 1, "f_coeffs": [0, -1, 0, 1],
+                           "field_label": "gauss", "provenance": "CM by Z[i]",
+                           "cm_type": [0]})
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--curve", "y2-x3-x", "--p", "3", "--catalog", str(path))
+    assert code == 0
+    assert out.splitlines()[0].split() == ["p=3", "l=1", "predicted", "(0,1)", "computed",
+                                           "(0,1)", "ok"]
+
+
+def test_verify_skips_a_splitting_no_theorem_covers(capsys):
+    # g = 5 and m = 2: strictly between the ends above genus 3
+    code, out, _ = run(capsys, "verify", "--curve", "cyclo-11", "--p", "3")
+    assert code == 0
+    assert out.splitlines() == ["  p=3       l=2   predicted -      computed (0,2)  skip",
+                                "0 verified, 0 mismatches"]
+    code, doc, _ = run_json(capsys, "verify", "--curve", "cyclo-11", "--p", "3")
+    assert doc["result"]["rows"][0]["notes"] == [
+        "no covering reduction theorem for this splitting"]
 
 
 def unreadable_catalog(tmp_path, kind):

@@ -102,6 +102,14 @@ def test_field_refuses_a_unit_quotient_that_is_not_cyclic():
         CyclicCMField("x", 4, 5, [[1, 0, 0, 0, 1]], conductor=15, h_generators=[])
 
 
+def test_field_refuses_polynomials_of_another_degree():
+    # x^6 + x^3 + 1 cuts out Q(zeta_9), of degree 6; lcm(3, 2) = 6 is not 4
+    with pytest.raises(DomainError, match="give degree 6, not 8"):
+        CyclicCMField("x", 8, 3**10, [[1, 0, 0, 1, 0, 0, 1]])
+    with pytest.raises(DomainError, match="give degree 6, not 4"):
+        CyclicCMField("x", 4, 5, [[1, 1, 1, 1], [1, 0, 1]])
+
+
 ODD_PRIMES = [ell for ell in range(3, 200) if is_prime(ell)]
 
 
