@@ -10,7 +10,9 @@ plain ints, and polynomials are dense little-endian coefficient lists:
 index = exponent, no trailing zeros above the degree. Matrices are numpy
 int64 arrays, or whatever np.asarray reads as one (a tuple of row tuples, a
 list of rows), with entries in [0, p) once reduced; a product of two entries
-then stays below 2^62 for p < 2^31.
+then stays below 2^62 for p < 2^31. numpy is imported by the functions that
+build arrays (half_power_coeffs and its helpers, matrix_rank), not by this
+module, so the pure-int code loads without it.
 
 is_prime keeps the Miller-Rabin verdict for the last n it ran on, so the
 public entries of one command, each checking its own p, pay for one proof.
@@ -35,9 +37,6 @@ closed form leaves.
 import random
 from functools import lru_cache
 from math import gcd, isqrt
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NotSquarefreeError
 
@@ -161,6 +160,8 @@ def half_power_coeffs(f, p, wanted):
     to that index; no other array holds more than twice `_SLAB` int64
     entries, or `_SLAB` + deg G of them when G is longer.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
     f = [c % p for c in f]
     v = next((i for i, c in enumerate(f) if c), None)
     if v is None:
@@ -200,6 +201,7 @@ def _inverses(n, p):
     With q the integer nearest p / r, x = q r - p has 0 < |x| <= r / 2 and
     1/r = q / x, so inverses of r in [m, 2m) read the table below m.
     """
+    import numpy as np
     inv = np.zeros(n, dtype=np.int32)
     inv[1:2] = 1
     for lo in range(0, n, _SLAB):
@@ -232,6 +234,8 @@ def _recur(h, base, steps, a, c, inv, p, n, plan=None):
     the longest, and its plan (size, transfer matrices) is returned for the
     later blocks: a shorter one keeps the size and takes a prefix.
     """
+    global np  # for _dot
+    import numpy as np
     d = a.size
     if plan is None:
         chunks = min(isqrt(2 * steps), _SLAB // (d * d)) if d < _WIDE else 1
@@ -259,6 +263,8 @@ def _steps(first, size, state, a, c, inv, p, n, out=None):
     side by side, and return the final windows. Given `out`, the block's
     H_{base+1}, ..., write the first column's new values to it; r stops at
     len(out), and a short last chunk's values past it are dropped."""
+    global np  # for _dot
+    import numpy as np
     chunks, (d, width) = first.size, state.shape[-2:]
     last = first[-1] + size - 1 if out is None else out.size
     span = max(1, _SLAB // (chunks * d * width))
@@ -284,7 +290,8 @@ def _steps(first, size, state, a, c, inv, p, n, out=None):
 
 def _dot(x, y, p, n, out):
     """out = x @ y mod p for residue arrays, with at most n products in
-    each int64 sum."""
+    each int64 sum. It runs once per step, so it imports nothing: np is the
+    module name that its two callers, _recur and _steps, bind."""
     if x.shape[-1] > n:
         np.sum(x[..., None] * y[..., None, :, :] % p, axis=-2, out=out)
     else:
@@ -582,6 +589,7 @@ def matrix_rank(a, p):
     Entries are reduced mod p once; each column then costs one pivot search
     and one outer-product update of the rows below the pivot.
     """
+    import numpy as np
     a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p
     rank = 0
     for col in range(a.shape[1]):

@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-import numpy as np
-
 from .errors import (
     BadReductionError,
     DomainError,
@@ -113,6 +111,7 @@ def p_rank(curve):
     are constant from exponent g on, so squaring A_0 past g gives that rank."""
     # exact in int64 while g (p-1)^2 < 2^63: CARTIER_BUDGET gives
     # (2g+1)(p-1)/2 < 2^26, so g (p-1)^2 < 2^54 / (4g) <= 2^52
+    import numpy as np
     m, p = np.array(cartier_manin(curve), dtype=np.int64), curve.p
     k = 1
     while k < curve.genus:
@@ -129,12 +128,14 @@ def _ext_mul(x, y, mul, p):
     # x y over F_{p^k} for float64 columns of k coordinates in [0, p), where
     # column i k + j of mul is z^(i+j) mod the modulus; each sum is below
     # k^2 p^3, which POINT_COUNT_BUDGET keeps under 2^53
+    import numpy as np
     r = (mul @ (x[:, None] * y).reshape(-1, x.shape[1])).astype(np.int64)
     return r - r // p * p
 
 
 def _hasse(h, a, n, p):
     # column j: the j-th Hasse derivative sum_m C(m, j) h_m a^(m-j) mod p
+    import numpy as np
     out = np.empty((a.size, n), dtype=np.int64)
     for j in range(n):
         acc = np.full(a.size, comb(len(h) - 1, j) * h[-1] % p)
@@ -163,6 +164,7 @@ def point_count(curve, k=1):
     square roots of each element of F_{p^k}, built by the same kernel from
     h = x^2 over every coset and a <= (p - 1)/2.
     """
+    import numpy as np
     p, coeffs = curve.p, curve.coeffs
     if k < 1:
         raise DomainError("point_count: extension degree must be >= 1")
@@ -276,6 +278,7 @@ def _genus2_a2(curve, a1):
     inconsistency, one is a_2, and a tie after _DIVISORS divisors (or a
     sextic with no root, or too few points) gives None.
     """
+    import numpy as np
     p, f = curve.p, list(curve.coeffs)
     (m00, m01), (m10, m11) = cartier_manin(curve)
     res = (m00 * m11 - m01 * m10) % p

@@ -85,6 +85,13 @@ class CyclicCMField:
             raise DomainError("CyclicCMField: degree 2g must be even and >= 2")
         if discriminant == 0:
             raise DomainError("CyclicCMField: discriminant must be nonzero")
+        # a CM field of degree 2g has g pairs of complex embeddings
+        if discriminant * (-1) ** (two_g // 2) < 0:
+            raise DomainError(f"CyclicCMField: discriminant {discriminant} of a degree-{two_g}"
+                              f" CM field must have sign (-1)^{two_g // 2}")
+        if discriminant % 4 > 1:  # Stickelberger
+            raise DomainError(
+                f"CyclicCMField: discriminant {discriminant} is not 0 or 1 mod 4")
         polys = tuple(map(tuple, defining_polys))
         if not polys:
             raise DomainError("CyclicCMField: at least one defining polynomial")

@@ -542,6 +542,27 @@ def test_field_whose_polynomials_miss_its_degree_is_refused(capsys, tmp_path):
         " not 8")
 
 
+@pytest.mark.parametrize("argv", [
+    ("split", "--field", "quartic-5-65-845", "--p", "19", "--method", "stickelberger"),
+    ("generate", "--curve", "wamelen-c1", "--type", "ssing-non-sspec", "--bits", "64",
+     "--seed", "3"),
+])
+def test_field_with_a_negated_discriminant_is_refused(capsys, tmp_path, argv):
+    # a quartic CM field has two pairs of complex embeddings, so D > 0; read
+    # with -D, Stickelberger answered "odd" at an inert p (exit 0) and generate
+    # drew a prime that failed its own target (exit 6)
+    data = json.loads(SHIPPED)
+    data["fields"][0]["discriminant"] = -21125
+    path = tmp_path / "negated.json"
+    path.write_text(json.dumps(data))
+    code, doc, _ = run_json(capsys, *argv, "--catalog", str(path))
+    assert code == 3
+    assert doc["error"]["type"] == "CatalogError"
+    assert doc["error"]["message"] == (
+        "fields[0]: CyclicCMField: discriminant -21125 of a degree-4 CM field must have"
+        " sign (-1)^2")
+
+
 def test_verify_falls_back_to_residues_at_an_index_divisor(capsys, tmp_path):
     # x^2 + 9 = x^2 mod 3 although 3 is unramified in Q(i): the residue of 3
     # mod the conductor 4 makes it inert, and y^2 = x^3 - x is supersingular
@@ -620,3 +641,25 @@ def test_console_script_runs(src_env):
     )
     assert proc.returncode == 0
     assert "2 classes" in proc.stdout
+
+
+def test_prediction_commands_do_not_load_numpy(src_env):
+    # numpy is imported by the functions that build arrays, so only the
+    # curve invariants pay for it
+    script = f"""
+import sys
+import cmreduce, cmreduce.cli
+assert "numpy" not in sys.modules, "import"
+for argv in (
+    ["split", "--field", "sextic-5-2", "--p", "{P128}"],
+    ["count-types", "--g", "10", "--enumerate"],
+    ["generate", "--curve", "weng-g3", "--type", "superspecial", "--bits", "128"],
+):
+    assert cmreduce.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert cmreduce.cli.main(["invariants", "--curve", "weng-g3", "--p", "101", "--json"]) == 0
+assert "numpy" in sys.modules, "invariants"
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -94,6 +94,18 @@ def test_field_refuses_non_integer_data(data):
         CyclicCMField(**(args | data))
 
 
+@pytest.mark.parametrize("two_g, discriminant, message", [
+    (4, -21125, "must have sign"),  # a quartic CM field has D > 0
+    (6, 153664, "must have sign"),  # a sextic one D < 0
+    (2, 4, "must have sign"),
+    (4, 21127, "not 0 or 1 mod 4"),  # Stickelberger
+    (6, -153662, "not 0 or 1 mod 4"),
+])
+def test_field_refuses_an_impossible_discriminant(two_g, discriminant, message):
+    with pytest.raises(DomainError, match=message):
+        CyclicCMField("x", two_g, discriminant, [[1] * (two_g + 1)])
+
+
 def test_field_refuses_a_unit_quotient_that_is_not_cyclic():
     # (Z/15)^* is Z/2 x Z/4: order 8, but no unit of order 8
     with pytest.raises(DomainError, match="not cyclic of order 2g"):
