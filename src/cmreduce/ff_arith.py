@@ -9,10 +9,10 @@ hyperelliptic curve, and the rank of a matrix over F_p. Elements of F_p are
 plain ints, and polynomials are dense little-endian coefficient lists:
 index = exponent, no trailing zeros above the degree. Matrices are numpy
 int64 arrays, or whatever np.asarray reads as one (a tuple of row tuples, a
-list of rows), with entries in [0, p) once reduced; a product of two entries
-then stays below 2^62 for p < 2^31. numpy is imported by the functions that
-build arrays (half_power_coeffs and its helpers, matrix_rank), not by this
-module, so the pure-int code loads without it.
+list of rows), with entries in [0, p) once reduced, for p with (p - 1)^2 <
+2^63, so that a product of two entries fits int64. numpy is imported by the
+functions that build arrays (half_power_coeffs and its helpers, matrix_rank),
+not by this module, so the pure-int code loads without it.
 
 is_prime keeps the Miller-Rabin verdict for the last n it ran on, so the
 public entries of one command, each checking its own p, pay for one proof.
@@ -22,9 +22,10 @@ x^(p^k) by composition.
 half_power_coeffs keeps every coefficient up to the highest one asked for,
 in int32, and computes each block of p - 1 of them as about sqrt(2p) chunks
 side by side, in about 2 sqrt(2p) numpy steps (sqrt(2p) after the first
-block, whose chunk transfer matrices the later blocks reuse); factorize
-loops up to sqrt(n). Their callers bound those; the pure residue arithmetic
-here takes arbitrary-precision input.
+block, whose chunk transfer matrices the later blocks reuse), for p <= 2^31
+and deg G (p - 1)^2 < 2^63 (the int32 history, one int64 sum per step);
+factorize loops up to sqrt(n). Their callers bound those; the pure residue
+arithmetic here takes arbitrary-precision input.
 
 jacobian_add answers the genus-2 sums that an order check makes, two
 coprime degree-2 divisors or the double of one, in closed form on plain
@@ -48,7 +49,6 @@ _MR_EXTRA_ROUNDS = 64  # error < 4**-64 = 2**-128 for larger n
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _SLAB = 1 << 15  # int64 entries in one temporary of half_power_coeffs
-_WIDE = 45  # deg G from which pass 1 of a block costs more than it saves
 
 
 def _mr_witness(a, d, s, n):
@@ -158,7 +158,8 @@ def half_power_coeffs(f, p, wanted):
     order deg G, in chunks side by side. H up to the highest index asked for
     is an int32 array, and so is the table of inverses mod p of 1, 2, ... up
     to that index; no other array holds more than twice `_SLAB` int64
-    entries, or `_SLAB` + deg G of them when G is longer.
+    entries, or `_SLAB` + deg G of them when G is longer. A step sums deg G
+    products in int64: p > 2^31 or deg G (p - 1)^2 >= 2^63 raises DomainError.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
@@ -168,6 +169,9 @@ def half_power_coeffs(f, p, wanted):
         raise DomainError("half_power_coeffs: zero polynomial")
     e, s = (p - 1) // 2, gcd(*(i for i, c in enumerate(f[v:]) if c)) or 1
     g = poly_trim(f[v::s])
+    if p > 2**31 or (len(g) - 1) * (p - 1) ** 2 >= 2**63:
+        raise DomainError(f"half_power_coeffs: p = {p}, deg G = {len(g) - 1} out of range;"
+                          " needs p <= 2^31 and deg G (p - 1)^2 < 2^63")
     ks = {m: (m - e * v) // s for m in wanted if m >= e * v and (m - e * v) % s == 0}
     top = min(max(ks.values(), default=0), e * (len(g) - 1))  # deg H = e deg G
     h = np.zeros(top + 1, dtype=np.int32)
@@ -176,7 +180,7 @@ def half_power_coeffs(f, p, wanted):
     # entry j of a and c belongs to H_{k-d+j}, d = deg G, that is to i = d - j
     a = np.array([(e + 1) * i * gi * u % p for i, gi in enumerate(g)][:0:-1], dtype=np.int64)
     c = np.array([gi * u % p for gi in g][:0:-1], dtype=np.int64)
-    n = min(_SLAB, (2**63 - 1) // (p - 1) ** 2)  # int64 products per sum
+    n = min(_SLAB, (2**63 - 1) // (p - 1) ** 2)  # int64 products per pin sum
     plan = None
     for base in range(0, top + 1, p):
         hk = pow(g[0], e, p)
@@ -191,7 +195,7 @@ def half_power_coeffs(f, p, wanted):
             hk = -t * pow(2 * hk * g[0], -1, p) % p
         h[base] = hk
         if base < top:
-            plan = _recur(h, base, min(p - 1, top - base), a, c, inv, p, n, plan)
+            plan = _recur(h, base, min(p - 1, top - base), a, c, inv, p, plan)
     return {m: int(h[ks[m]]) if ks.get(m, top + 1) <= top else 0 for m in wanted}
 
 
@@ -220,7 +224,7 @@ def _inverses(n, p):
     return inv
 
 
-def _recur(h, base, steps, a, c, inv, p, n, plan=None):
+def _recur(h, base, steps, a, c, inv, p, plan=None):
     """Write H_{base+r} = sum_j (a_j / r - c_j) H_{base+r-d+j}, 1 <= r <= steps.
 
     The block runs as `chunks` chunks of `size` steps side by side. Pass 1
@@ -228,42 +232,41 @@ def _recur(h, base, steps, a, c, inv, p, n, plan=None):
     gives each chunk's d x d transfer matrix; pass 2 walks those from the
     block's start state to each chunk's true start state; pass 3 reruns the
     chunks from their true states and writes H. Pass 1 costs d^2
-    multiply-adds per step against d for the others, so wide recurrences
-    run as one chunk: one dot product per step, and no passes 1 and 2.
+    multiply-adds per step against d for the others, so a block has at most
+    max(1, `_SLAB` / d^2) chunks; with one, passes 1 and 2 do not run.
     Step r's factors depend on r alone, so pass 1 runs on the first block,
     the longest, and its plan (size, transfer matrices) is returned for the
     later blocks: a shorter one keeps the size and takes a prefix.
     """
-    global np  # for _dot
     import numpy as np
     d = a.size
     if plan is None:
-        chunks = min(isqrt(2 * steps), _SLAB // (d * d)) if d < _WIDE else 1
+        chunks = max(1, min(isqrt(2 * steps), _SLAB // (d * d)))
         size = -(-steps // chunks)
         if 2 * size + chunks - 1 >= steps:  # no fewer steps than one chunk takes
             size = steps
         first = 1 + size * np.arange(-(-steps // size) - 1)
         eye = np.eye(d, dtype=np.int64)
-        plan = size, _steps(first, size, eye, a, c, inv, p, n).copy() if first.size else None
+        plan = size, _steps(first, size, eye, a, c, inv, p).copy() if first.size else ()
     size, moves = plan
     chunks = -(-steps // size)
     state = np.zeros((chunks, d, 1), dtype=np.int64)
     lo = max(0, base + 1 - d)
     state[0, d - (base + 1 - lo) :, 0] = h[lo : base + 1]
-    for i in range(chunks - 1):
-        _dot(moves[i], state[i], p, n, state[i + 1])
+    for move, start, nxt in zip(moves, state, state[1:]):
+        np.matmul(move, start, out=nxt)
+        np.remainder(nxt, p, out=nxt)
     first = 1 + size * np.arange(chunks)
-    _steps(first, size, state, a, c, inv, p, n, h[base + 1 : base + 1 + steps])
+    _steps(first, size, state, a, c, inv, p, h[base + 1 : base + 1 + steps])
     return plan
 
 
-def _steps(first, size, state, a, c, inv, p, n, out=None):
+def _steps(first, size, state, a, c, inv, p, out=None):
     """Run `size` steps from r = first[i] on each window state[i] (d x S,
     row j holding H_{k-d+j}; one window for every chunk when state is 2-D)
     side by side, and return the final windows. Given `out`, the block's
     H_{base+1}, ..., write the first column's new values to it; r stops at
     len(out), and a short last chunk's values past it are dropped."""
-    global np  # for _dot
     import numpy as np
     chunks, (d, width) = first.size, state.shape[-2:]
     last = first[-1] + size - 1 if out is None else out.size
@@ -278,7 +281,9 @@ def _steps(first, size, state, a, c, inv, p, n, out=None):
         cf %= p
         cf = cf.transpose(1, 2, 0)[:, :, None]  # step t: (chunks, 1, d)
         for t in range(m):
-            _dot(cf[t], buf[:, t : t + d], p, n, buf[:, d + t, None])
+            new = buf[:, d + t, None]
+            np.matmul(cf[t], buf[:, t : t + d], out=new)
+            np.remainder(new, p, out=new)
         if out is not None:
             full = out[: (chunks - 1) * size].reshape(chunks - 1, size)
             full[:, t0 : t0 + m] = buf[:-1, d : d + m, 0]
@@ -286,17 +291,6 @@ def _steps(first, size, state, a, c, inv, p, n, out=None):
             tail[:] = buf[-1, d : d + tail.size, 0]
         buf[:, :d] = buf[:, m : m + d]
     return buf[:, :d]
-
-
-def _dot(x, y, p, n, out):
-    """out = x @ y mod p for residue arrays, with at most n products in
-    each int64 sum. It runs once per step, so it imports nothing: np is the
-    module name that its two callers, _recur and _steps, bind."""
-    if x.shape[-1] > n:
-        np.sum(x[..., None] * y[..., None, :, :] % p, axis=-2, out=out)
-    else:
-        np.matmul(x, y, out=out)
-    np.remainder(out, p, out=out)
 
 
 def poly_divmod(f, g, p):
@@ -587,8 +581,11 @@ def matrix_rank(a, p):
     """Rank over F_p of an integer matrix: an int64 array or rows of ints.
 
     Entries are reduced mod p once; each column then costs one pivot search
-    and one outer-product update of the rows below the pivot.
+    and one outer-product update of the rows below the pivot. A product of
+    two entries must fit int64, so (p - 1)^2 >= 2^63 raises DomainError.
     """
+    if (p - 1) ** 2 >= 2**63:
+        raise DomainError(f"matrix_rank: p = {p} passes int64; needs (p - 1)^2 < 2^63")
     import numpy as np
     a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p
     rank = 0

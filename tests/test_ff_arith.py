@@ -241,11 +241,12 @@ def random_stride_poly(rng, p, deg_g, s, v):
 @pytest.mark.parametrize("p, deg_g, s, v, top", [
     (65537, 3, 1, 0, None),  # blocks of 360 chunks, several slabs per pass
     (200003, 3, 1, 1, None),  # inverses of r in [2^17, 2^18) take two slabs
-    (101, 50, 1, 0, None),  # deg G >= 50: one chunk per block
+    (101, 50, 1, 0, None),  # _SLAB / 50^2 caps a block's 14 chunks at 13
     (1009, 5, 1, 0, 2 * 1009 + 11),  # 3 blocks of chunks of 23, the last of 10 steps
     (211, 57, 2, 2, None),
-    (2**31 - 1, 8, 1, 0, 600),  # 8 (p - 1)^2 > 2^63: each product reduced
-    (2**31 - 1, 5, 3, 2, 400),
+    (101, 190, 1, 0, None),  # _SLAB / 190^2 = 0: still one chunk
+    (1073741789, 8, 1, 0, 600),  # 8 (p - 1)^2 just below 2^63
+    (1358187913, 5, 3, 2, 400),  # 5 (p - 1)^2 just below 2^63
 ])
 def test_half_power_coeffs_matches_reference(p, deg_g, s, v, top):
     rng = random.Random(p + deg_g)
@@ -259,6 +260,17 @@ def test_half_power_coeffs_matches_reference(p, deg_g, s, v, top):
         wanted = [i * p - j for i in (1, 2, 3) for j in (1, 2, 3)]
         wanted += [rng.randrange(-3, 3 * p) for _ in range(300)]
     assert half_power_coeffs(f, p, wanted) == reference_half_power_coeffs(f, p, wanted)
+
+
+def test_half_power_coeffs_refuses_moduli_past_int64():
+    # one step sums deg G products of residues in int64, and H is int32
+    rng = random.Random(31)
+    with pytest.raises(DomainError):
+        half_power_coeffs(random_stride_poly(rng, 2**31 - 1, 8, 1, 0), 2**31 - 1, [5])
+    # 2^32 + 15: 3 (p - 1)^2 < 2^63, but x^5 of (1 + 3x + x^3)^e is
+    # 4076863434, which an int32 H cannot hold
+    with pytest.raises(DomainError):
+        half_power_coeffs([1, 3, 0, 1], 4294967311, [5, 17, 40])
 
 
 def test_half_power_coeffs_matches_reference_on_random_strides():
@@ -624,3 +636,11 @@ def test_matrix_rank_edge_cases():
     q = 1048573
     assert matrix_rank([[q + 1, 2], [1, q + 2]], q) == 1  # equal rows mod q
     assert matrix_rank([[1, 0, 0], [0, q - 1, 0]], q) == 2
+
+
+def test_matrix_rank_refuses_moduli_past_int64():
+    # rank 1, but the int64 outer product of the elimination would wrap and read 2
+    p, a, b = 2**40 + 15, 123456789012, 987654321098
+    assert is_prime(p)
+    with pytest.raises(DomainError):
+        matrix_rank([[a, b], [2 * a % p, 2 * b % p]], p)

@@ -241,6 +241,16 @@ def test_cartier_manin_caps_degree(monkeypatch):
     assert a_number(curve) == 2
 
 
+def test_cartier_budget_keeps_the_arrays_in_int64():
+    # deg f (p - 1)/2 + 1 <= CARTIER_BUDGET = B, so with deg G <= deg f and
+    # g < deg f / 2, deg G (p - 1)^2 and g (p - 1)^2 stay below 4 (B - 1)^2 /
+    # deg f: the worst case is deg f = 3 (g = 1) at the largest admitted p
+    deg, g = 3, 1
+    p = 2 * ((invariants.CARTIER_BUDGET - 1) // deg) + 1
+    assert p <= 2**31 and deg * (p - 1) ** 2 < 2**63  # half_power_coeffs
+    assert g * (p - 1) ** 2 < 2**63  # the products of p_rank and matrix_rank
+
+
 SMALL_PRIMES = [q for q in range(3, 98) if is_prime(q)]
 # p^g up to which the property test also counts points; below SLOPE_BUDGET =
 # 2^21, where a single L-polynomial near the top takes seconds
