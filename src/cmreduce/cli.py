@@ -210,13 +210,10 @@ def cmd_generate(args):
         f"reduced: y^2 = {format_poly(out.curve.coeffs, var='x')}",
     ]
     pred = out.prediction
-    if pred.profile is not None:
-        lines.append(
-            f"prediction: ({pred.profile.p_rank}, {pred.profile.a_number})"
-            f" {pred.profile.type_name} [{pred.certainty}: {pred.source}]"
-        )
-    else:
-        lines.append(f"prediction: undetermined [{pred.source}]")
+    lines.append(
+        f"prediction: ({pred.profile.p_rank}, {pred.profile.a_number})"
+        f" {pred.profile.type_name} [{pred.certainty}: {pred.source}]"
+    )
     if out.verified_profile is not None:
         v = out.verified_profile
         lines.append(
@@ -282,59 +279,52 @@ def cmd_verify(args):
     return result, lines, code
 
 
-def build_parser():
+_COMMON = (
+    ("--json", dict(action="store_true", help="machine-readable output")),
+    ("--catalog", dict(help="catalog file (default: packaged; env CM_REDUCE_CATALOG)")),
+)
+
+# name: (handler, help, arguments after _COMMON's)
+_COMMANDS = {
+    "count-types": (cmd_count_types, "count CM type classes at half-degree g", (
+        ("--g", dict(type=int, required=True)),
+        ("--primitive", dict(action="store_true", help="primitive classes only")),
+        ("--enumerate", dict(action="store_true", help="list canonical representatives")))),
+    "split": (cmd_split, "splitting type of a prime in a catalog field", (
+        ("--field", dict(required=True)),
+        ("--p", dict(type=int, required=True)),
+        ("--method", dict(choices=["residue", "factor", "stickelberger", "auto"],
+                          default="auto")))),
+    "invariants": (cmd_invariants, "computed invariants of a catalog curve mod p", (
+        ("--curve", dict(required=True)),
+        ("--p", dict(type=int, required=True)))),
+    "generate": (cmd_generate, "find a prime giving a requested reduction type", (
+        ("--curve", dict(required=True)),
+        ("--type", dict(required=True,
+                        help="ordinary, superspecial, supersingular, ssing-non-sspec")),
+        ("--bits", dict(type=int, required=True)),
+        ("--seed", dict(type=int, default=0)))),
+    "verify": (cmd_verify, "sweep predictions against computed invariants", (
+        ("--curve", dict(required=True)),
+        ("--pmax", dict(type=int, default=300)),
+        ("--p", dict(type=int, help="verify a single prime instead of sweeping")))),
+}
+
+
+def build_parser(command=None):
+    """Every command is registered, so the top-level help, choices and usage
+    never change; only `command` (every command when None) gets arguments."""
     parser = argparse.ArgumentParser(
         prog="cmreduce",
         description="Predict and verify reduction types of CM curves.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--catalog",
-        default=None,
-        help="catalog file (default: packaged; env CM_REDUCE_CATALOG)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count-types", parents=[common],
-                       help="count CM type classes at half-degree g")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--primitive", action="store_true",
-                   help="primitive classes only")
-    p.add_argument("--enumerate", action="store_true",
-                   help="list canonical representatives")
-    p.set_defaults(func=cmd_count_types)
-
-    p = sub.add_parser("split", parents=[common],
-                       help="splitting type of a prime in a catalog field")
-    p.add_argument("--field", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--method", choices=["residue", "factor", "stickelberger", "auto"],
-                   default="auto")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("invariants", parents=[common],
-                       help="computed invariants of a catalog curve mod p")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("generate", parents=[common],
-                       help="find a prime giving a requested reduction type")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--type", required=True,
-                   help="ordinary, superspecial, supersingular, ssing-non-sspec")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="sweep predictions against computed invariants")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--pmax", type=int, default=300)
-    p.add_argument("--p", type=int, default=None,
-                   help="verify a single prime instead of sweeping")
-    p.set_defaults(func=cmd_verify)
+    for name, (func, text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            for flag, kwargs in _COMMON + arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -361,7 +351,9 @@ def _emit_error(args, command, exc, code):
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first token without a leading "-" as the command
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         result, lines, code = args.func(args)

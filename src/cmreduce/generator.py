@@ -84,9 +84,10 @@ class CMCurveRecord:
 
 
 def _family_ell(family, label):
-    """l of a label family-l, or None. An l with (l - 1) / 2 above COUNT_CAP is
-    refused from the length of its digits, before int() reads them."""
-    m = re.fullmatch(family + r"-(\d+)", label)
+    """l of a label family-l, l in ASCII digits, or None. An l with (l - 1) / 2
+    above COUNT_CAP is refused from the length of its digits, before int()
+    reads them."""
+    m = re.fullmatch(family + r"-([0-9]+)", label)
     if m is None:
         return None
     digits = m.group(1).lstrip("0") or "0"
@@ -136,11 +137,11 @@ class Catalog:
     def _entry(self, label, listed, family, kind, synthesize):
         if label in listed:
             return listed[label]
-        key = (family, label)  # so a label is never found as the other kind
+        ell = _family_ell(family, label)
+        if ell is None:
+            raise CatalogError(f"unknown {kind} label {label!r}")
+        key = (family, ell)  # so a label is never found as the other kind
         if key not in self._synth:
-            ell = _family_ell(family, label)
-            if ell is None:
-                raise CatalogError(f"unknown {kind} label {label!r}")
             self._synth[key] = synthesize(ell)
         return self._synth[key]
 

@@ -1,5 +1,6 @@
 """Console entry point: subcommands, JSON envelopes, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from cmreduce import (
     InternalInconsistencyError,
     catalog_load,
+    cli,
     cm_types,
     count_E,
     count_E_primitive,
@@ -173,6 +175,18 @@ def test_cyclotomic_family_at_the_genus_cap(capsys):
     code, out, _ = run(capsys, "split", "--field", "cyclotomic-28001", "--p", "3")
     assert code == 0
     assert "inert, inertia degree 28000" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--curve", "cyclo-\u0667", "--p", "11"),  # ARABIC-INDIC DIGIT SEVEN
+    ("split", "--field", "cyclotomic-\uff17", "--p", "11"),  # FULLWIDTH DIGIT SEVEN
+], ids=["curve", "field"])
+def test_family_labels_take_only_ascii_digits(capsys, argv):
+    # \d would read both as l = 7
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: unknown {argv[1][2:]} label {argv[2]!r}\n"
 
 
 def test_split_non_prime(capsys):
@@ -359,6 +373,17 @@ def test_generate_bits_above_the_cap_exit_4(capsys):
     assert code == 4
     assert json.loads(out)["error"]["type"] == "ResourceLimitError"
     assert "at most 1024" in err
+
+
+def test_generate_gives_up_after_its_prime_searches(capsys):
+    # 11 is the only prime in [2^3, 2^4) split into two primes in quartic-5-65-845,
+    # and wamelen-c1's leading coefficient -1331 vanishes mod 11
+    code, out, err = run(capsys, "generate", "--curve", "wamelen-c1",
+                         "--type", "superspecial", "--bits", "3")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: bad reduction at p = 11:"
+                   " no good-reduction prime in 64 prime searches\n")
 
 
 def test_generate_text_skips_verification_for_large_p(capsys):
@@ -599,13 +624,15 @@ def unreadable_catalog(tmp_path, kind):
     path = tmp_path / f"{kind}.json"
     if kind == "undecodable":
         path.write_bytes(b"\xff\xfe" + SHIPPED.encode())
+    elif kind == "invalid":
+        path.write_text(SHIPPED.rstrip()[:-1])  # without its closing brace
     else:  # valid JSON nested deeper than the parser recurses
         path.write_text("[" * 200_000 + "]" * 200_000)
     return path
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
-@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable", "nested"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable", "nested", "invalid"])
 def test_unreadable_catalog_exit_3(capsys, tmp_path, monkeypatch, kind, via):
     path = unreadable_catalog(tmp_path, kind)
     argv = ["split", "--field", "cyclotomic-5", "--p", "7", "--json"]
@@ -618,8 +645,9 @@ def test_unreadable_catalog_exit_3(capsys, tmp_path, monkeypatch, kind, via):
     doc = json.loads(out)
     assert doc["command"] == "split"
     assert doc["error"]["type"] == "CatalogError"
-    assert doc["error"]["message"].startswith(f"cannot read catalog {path}: ")
-    assert err.startswith("error: cannot read catalog")
+    want = "catalog is not valid JSON: " if kind == "invalid" else f"cannot read catalog {path}: "
+    assert doc["error"]["message"].startswith(want)
+    assert err.startswith(f"error: {want}")
 
 
 def test_catalog_env_variable(capsys, tmp_path, monkeypatch):
@@ -663,3 +691,66 @@ assert "numpy" in sys.modules, "invariants"
     proc = subprocess.run([sys.executable, "-c", script], env=src_env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# argv lines for help, usage errors and each command's arguments
+PARSE_CORPUS = [
+    ["--help"], ["-h"], ["-h", "verify"], [],
+    *([name, "--help"] for name in ("count-types", "split", "invariants", "generate", "verify")),
+    ["bogus"], ["bogus", "--curve", "cyclo-5"], ["-5", "verify"], ["--json"],
+    ["--json", "verify", "--curve", "cyclo-5", "--p", "11"],
+    ["--", "verify", "--curve", "cyclo-5", "--p", "11"],
+    ["verify", "--cur", "cyclo-5", "--p", "11", "--json"],
+    ["verify", "--curve", "cyclo-5"],
+    ["count-types", "--g", "x"],
+    ["count-types", "--g", "0"],
+    ["count-types", "--g", "6", "--enumerate", "--primitive"],
+    ["count-types", "--g", "3", "extra"],
+    ["split", "--field", "cyclotomic-5", "--p", "11", "--method", "nope"],
+    ["split", "--field", "cyclotomic-5", "--p", "11", "--method", "factor"],
+    ["invariants", "--curve", "cyclo-5"],
+    ["generate", "--curve", "weng-g3", "--type", "ordinary", "--bits", "64",
+     "--catalog", "c.json"],
+]
+
+
+class _Built(Exception):
+    pass
+
+
+def parsed(parser, argv, capsys):
+    try:
+        outcome = parser.parse_args(argv)
+    except SystemExit as e:
+        outcome = e.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_command_parser_parses_like_the_full_one(capsys, monkeypatch, argv):
+    # the Namespace, or the exit code with stdout and stderr, of the parser main
+    # builds for argv against the full tree's, in one process
+    built = []
+
+    def stop(command=None):
+        built.append(command)
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_parser", stop)
+    with pytest.raises(_Built):
+        main(argv)
+    monkeypatch.undo()
+    mine = parsed(cli.build_parser(*built), argv, capsys)
+    assert mine == parsed(cli.build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_build_parser_adds_arguments_only_to_its_command(command):
+    sub = next(a for a in cli.build_parser(command)._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._COMMANDS)
+    for name, parser in sub.choices.items():
+        flags = [a.option_strings[-1] for a in parser._actions[1:]]  # after --help
+        _, _, arguments = cli._COMMANDS[name]
+        want = [f for f, _ in cli._COMMON + arguments] if command in (None, name) else []
+        assert flags == want, name

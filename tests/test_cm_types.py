@@ -20,6 +20,7 @@ from cmreduce import (
     cyclic_period,
     enumerate_classes,
 )
+from cmreduce.cm_types import COUNT_CAP
 
 # classes of length-2g strings fixed by complement-shift, g = 1..14
 TOTAL = [1, 1, 2, 2, 4, 6, 10, 16, 30, 52, 94, 172, 316, 586]
@@ -127,6 +128,18 @@ def test_count_P_values_and_domain():
     for bad in (0, 1, 3, 7):
         with pytest.raises(DomainError):
             count_P(bad)
+
+
+@pytest.mark.parametrize("count, n, error, message", [
+    (count_P, 2 * COUNT_CAP + 2, ResourceLimitError, f"count_P: k capped at {2 * COUNT_CAP}"),
+    (count_E, 0, DomainError, "count_E: g must be >= 1"),
+    (count_E_primitive, 0, DomainError, "count_E_primitive: g must be >= 1"),
+    (count_E_primitive, COUNT_CAP + 1, ResourceLimitError,
+     f"count_E_primitive: g capped at {COUNT_CAP}"),
+], ids=["count_P-above-cap", "count_E-0", "count_E_primitive-0", "count_E_primitive-above-cap"])
+def test_counts_refuse_arguments_out_of_range(count, n, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        count(n)
 
 
 def test_primitive_strings_sum_to_all_strings():

@@ -571,6 +571,17 @@ def test_factor_degree_profile_rejects_bad_input():
         factor_degree_profile([0], 5)
 
 
+@pytest.mark.parametrize("p", [3, 7])
+def test_factor_degree_profile_of_one_is_empty(p):
+    assert factor_degree_profile([1], p) == []
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_find_irreducible_refuses_degree_below_one(k):
+    with pytest.raises(DomainError, match="^find_irreducible: k must be >= 1$"):
+        find_irreducible(7, k)
+
+
 def test_find_irreducible_is_deterministic_and_irreducible():
     for p, k in [(3, 4), (13, 3), (101, 2), (5, 1)]:
         f = find_irreducible(p, k)

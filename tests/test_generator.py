@@ -133,6 +133,21 @@ def test_family_labels_are_not_found_as_the_other_kind():
         catalog.field("cyclo-7")
 
 
+def test_family_member_is_synthesized_once_per_ell():
+    catalog = catalog_load()
+    rec = catalog.record("cyclo-007")
+    assert rec.label == "cyclo-7"
+    assert catalog.record("cyclo-7") is rec
+    assert catalog.field("cyclotomic-07") is rec.field
+
+
+@pytest.mark.parametrize("label", ["cyclo-\u0667", "cyclo-\uff17", "cyclo-\U0001d7d5"])
+def test_family_labels_take_only_ascii_digits(label):
+    # Arabic-Indic, fullwidth and mathematical bold sevens: \d matches each
+    with pytest.raises(CatalogError, match=r"^unknown curve label "):
+        catalog_load().record(label)
+
+
 def load_variant(tmp_path, mutate):
     data = json.loads(SHIPPED)
     mutate(data)
@@ -372,6 +387,24 @@ def test_generate_refuses_bits_above_the_cap_without_searching(catalog, monkeypa
         generate(catalog.record("cyclo-5"), "ordinary", generator.BITS_CAP + 1)
     with pytest.raises(AssertionError, match="find_prime ran"):
         generate(catalog.record("cyclo-5"), "ordinary", generator.BITS_CAP)
+
+
+def test_generate_retries_after_bad_reduction(catalog, monkeypatch):
+    # seed 3's first search draws 31, where wamelen-c2 has bad reduction
+    drawn = []
+    search = generator.find_prime
+
+    def record(*args, **kwargs):
+        drawn.append(search(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(generator, "find_prime", record)
+    record_c2 = catalog.record("wamelen-c2")
+    res = generate(record_c2, "superspecial", 4, seed=3)
+    assert drawn == [31, 29]
+    assert res.p == 29
+    with pytest.raises(BadReductionError):
+        reduce_curve(record_c2, 31)
 
 
 def test_generate_factors_once_per_prime(catalog, monkeypatch):

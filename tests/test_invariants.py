@@ -29,6 +29,7 @@ from cmreduce import (
     DomainError,
     InternalInconsistencyError,
     ReducedCurve,
+    ReductionProfile,
     ResourceLimitError,
     a_number,
     cartier_manin,
@@ -79,6 +80,16 @@ def test_reduced_curve_rejects_bad_input():
 def test_reduced_curve_refuses_non_integers(p, coeffs):
     with pytest.raises(DomainError, match="must be integers"):
         ReducedCurve(p, coeffs)
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (ReducedCurve, (7, [1, 0, 1]), "ReducedCurve: degree 2 gives no curve"),
+    (ReductionProfile, (0, 0, None, "", ""), "ReductionProfile: need f, a >= 0 and a + f >= 1"),
+], ids=["curve-of-degree-2", "profile-of-f-0-a-0"])
+def test_constructors_refuse_what_is_no_curve(build, args, message):
+    with pytest.raises(DomainError) as e:
+        build(*args)
+    assert str(e.value) == message
 
 
 def naive_poly_pow(f, e):

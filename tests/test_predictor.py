@@ -9,6 +9,7 @@ from cmreduce import (
     CMReduceError,
     CMType,
     DomainError,
+    Prediction,
     RamifiedPrimeError,
     SplittingType,
     classify_group_scheme,
@@ -84,6 +85,17 @@ def test_predict_split_shape_must_fit():
         predict_for_genus(2, SplittingType(3, 1))  # 3 * 1 != 4
     with pytest.raises(DomainError):
         predict_for_genus(4, SplittingType(8, 2))
+
+
+@pytest.mark.parametrize("certainty, message", [
+    ("sure", "Prediction: bad certainty 'sure'"),
+    ("exact", "Prediction: profile exactly when determined"),
+    ("partial", "Prediction: profile exactly when determined"),
+])
+def test_prediction_without_profile_must_be_undetermined(certainty, message):
+    with pytest.raises(DomainError) as e:
+        Prediction(None, certainty, "a theorem")
+    assert str(e.value) == message
 
 
 def test_predict_for_genus_dispatch():

@@ -106,6 +106,17 @@ def test_field_refuses_an_impossible_discriminant(two_g, discriminant, message):
         CyclicCMField("x", two_g, discriminant, [[1] * (two_g + 1)])
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (CyclicCMField, ("x", 4, 5, []), "CyclicCMField: at least one defining polynomial"),
+    (SplittingType, (0, 1), "SplittingType: counts must be positive"),
+    (SplittingType, (1, 0), "SplittingType: counts must be positive"),
+], ids=["field-without-polynomials", "no-primes", "inertia-degree-0"])
+def test_splitting_data_refuses_empty_shapes(build, args, message):
+    with pytest.raises(DomainError) as e:
+        build(*args)
+    assert str(e.value) == message
+
+
 def test_field_refuses_a_unit_quotient_that_is_not_cyclic():
     # (Z/15)^* is Z/2 x Z/4: order 8, but no unit of order 8
     with pytest.raises(DomainError, match="not cyclic of order 2g"):
