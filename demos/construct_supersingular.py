@@ -6,7 +6,7 @@ recomputed as an independent check; cryptographic sizes rely on the
 prediction, which is exactly what the theorems license.
 """
 
-from cmreduce import catalog_load, generate, generation_predicate, sweep
+from cmreduce import catalog_load, generate, split_by_residue, sweep
 
 catalog = catalog_load()
 
@@ -35,8 +35,8 @@ print(f"  prediction: {res.prediction.profile.type_name}"
       f" [{res.prediction.certainty}]")
 print(f"  verified: {res.verified_profile}")
 
-check = generation_predicate(catalog.record("wamelen-c1"), "ssing-non-sspec")
-print(f"  predicate re-check: {check(res.p)}")
+split = split_by_residue(catalog.record("wamelen-c1").field, res.p)
+print(f"  splitting re-check: {split.num_primes} prime, inertia degree {split.inertia_degree}")
 
 # a sweep replays every good small prime and compares prediction against
 # recomputation, the same machinery the acceptance gate runs

@@ -36,7 +36,6 @@ from .generator import (
     VerifyReport,
     catalog_load,
     generate,
-    generation_predicate,
     reduce_curve,
     sweep,
     verify,
@@ -104,7 +103,6 @@ __all__ = [
     "enumerate_classes",
     "find_prime",
     "generate",
-    "generation_predicate",
     "l_polynomial",
     "newton_slopes",
     "p_rank",

@@ -214,17 +214,22 @@ def cmd_generate(args):
         f"prediction: ({pred.profile.p_rank}, {pred.profile.a_number})"
         f" {pred.profile.type_name} [{pred.certainty}: {pred.source}]"
     )
+    code = EXIT_OK
     if out.verified_profile is not None:
         v = out.verified_profile
         lines.append(
             f"verified: p-rank {v.p_rank}, a-number {v.a_number},"
             f" group scheme {v.group_scheme}"
         )
+        if pred.matches(v) is False:
+            lines.append(f"MISMATCH: computed ({v.p_rank}, {v.a_number}) contradicts"
+                         " the prediction")
+            code = EXIT_MISMATCH
     else:
         cap = generator.VERIFY_CAP
         bound = f"2^{cap.bit_length() - 1}" if cap & (cap - 1) == 0 else cap
         lines.append(f"verified: skipped (p >= {bound})")
-    return result, lines, EXIT_OK
+    return result, lines, code
 
 
 def cmd_verify(args):

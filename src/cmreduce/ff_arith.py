@@ -7,12 +7,10 @@ distinct-degree factoring, irreducible moduli, coefficients of
 f^((p-1)/2)), Cantor's group law on the Jacobian of an odd-degree
 hyperelliptic curve, and the rank of a matrix over F_p. Elements of F_p are
 plain ints, and polynomials are dense little-endian coefficient lists:
-index = exponent, no trailing zeros above the degree. Matrices are numpy
-int64 arrays, or whatever np.asarray reads as one (a tuple of row tuples, a
-list of rows), with entries in [0, p) once reduced, for p with (p - 1)^2 <
-2^63, so that a product of two entries fits int64. numpy is imported by the
-functions that build arrays (half_power_coeffs and its helpers, matrix_rank),
-not by this module, so the pure-int code loads without it.
+index = exponent, no trailing zeros above the degree. Matrices are rows of
+ints (a tuple of row tuples, a list of rows), at any p. numpy is imported by
+the functions that build arrays (half_power_coeffs and its helpers), not by
+this module, so the pure-int code loads without it.
 
 is_prime keeps the Miller-Rabin verdict for the last n it ran on, so the
 public entries of one command, each checking its own p, pay for one proof.
@@ -577,26 +575,24 @@ def find_irreducible(p, k):
 # matrices over F_p
 
 
-def matrix_rank(a, p):
-    """Rank over F_p of an integer matrix: an int64 array or rows of ints.
+def matrix_rank(rows, p):
+    """Rank over F_p of a matrix given as rows of ints, by forward elimination.
 
-    Entries are reduced mod p once; each column then costs one pivot search
-    and one outer-product update of the rows below the pivot. A product of
-    two entries must fit int64, so (p - 1)^2 >= 2^63 raises DomainError.
+    Entries are reduced mod p once. Each pivot row clears its column from the
+    later rows that have a nonzero entry there, by its own nonzero entries.
     """
-    if (p - 1) ** 2 >= 2**63:
-        raise DomainError(f"matrix_rank: p = {p} passes int64; needs (p - 1)^2 < 2^63")
-    import numpy as np
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p
+    rows = [[x % p for x in row] for row in rows]
     rank = 0
-    for col in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[rank:, col])
-        if nonzero.size:
-            piv = rank + nonzero[0]
-            a[[rank, piv]] = a[[piv, rank]]
-            a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
-            below = a[rank + 1 :, col:]  # zero left of col, as is the pivot row
-            below -= np.outer(below[:, 0], a[rank, col:])
-            below %= p
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is not None:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            inv = pow(rows[rank][col], -1, p)
+            support = [(j, x) for j, x in enumerate(rows[rank]) if x]
+            for row in rows[rank + 1 :]:
+                if row[col]:
+                    c = row[col] * inv % p
+                    for j, x in support:
+                        row[j] = (row[j] - c * x) % p
             rank += 1
     return rank

@@ -108,14 +108,19 @@ def cartier_manin(curve):
 
 def p_rank(curve):
     """Rank of A_{g-1} ... A_1 A_0 = A_0^g. Ranks of powers of a g x g matrix
-    are constant from exponent g on, so squaring A_0 past g gives that rank."""
-    # exact in int64 while g (p-1)^2 < 2^63: CARTIER_BUDGET gives
-    # (2g+1)(p-1)/2 < 2^26, so g (p-1)^2 < 2^54 / (4g) <= 2^52
-    import numpy as np
-    m, p = np.array(cartier_manin(curve), dtype=np.int64), curve.p
+    are constant from exponent g on, so squaring A_0 past g gives that rank.
+    Row i of m m is the sum of the rows j of m times m_ij, over nonzero m_ij."""
+    m, p, g = cartier_manin(curve), curve.p, curve.genus
     k = 1
-    while k < curve.genus:
-        m, k = m @ m % p, 2 * k
+    while k < g:
+        square = []
+        for row in m:
+            acc = [0] * g
+            for c, r in zip(row, m):
+                if c:
+                    acc = [a + c * x for a, x in zip(acc, r)]
+            square.append([a % p for a in acc])
+        m, k = square, 2 * k
     return matrix_rank(m, p)
 
 

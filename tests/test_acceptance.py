@@ -18,7 +18,7 @@ from cmreduce import (
     count_E_primitive,
     enumerate_classes,
     generate,
-    generation_predicate,
+    generator,
     l_polynomial,
     newton_slopes,
     p_rank,
@@ -156,7 +156,12 @@ def test_acceptance_6_end_to_end_sweeps():
 def test_acceptance_7_large_prime_generation():
     with criterion(7, "128-bit inert prime search, 100 seeds", budget=10):
         record = catalog_load().record("wamelen-c1")
-        accepts = generation_predicate(record, "ssing-non-sspec")
+        _, inert = generator._resolve_target(record, "ssing-non-sspec")
+
+        def accepts(p):
+            split = generator._split_auto(record.field, p)
+            return is_prime(p) and generator._meets_target(record.field, inert, p, split)
+
         target = (1 << 128) + 51
         assert accepts(target)
         assert kronecker(21125, target) == -1

@@ -386,6 +386,64 @@ def test_generate_gives_up_after_its_prime_searches(capsys):
                    " no good-reduction prime in 64 prime searches\n")
 
 
+def user_catalog(tmp_path, name, mutate):
+    data = json.loads(SHIPPED)
+    mutate({c["label"]: c for c in data["curves"] + data["fields"]})
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_generate_contradiction_exit_5(capsys, tmp_path):
+    # wamelen-c2 with its x^4 coefficient moved from 0 to 1 lacks CM by its
+    # field, and reduces ordinary at the prime picked as superspecial: a
+    # mismatch, as verify reports it, not a bug
+    def mutate(entries):
+        entries["wamelen-c2"]["f_coeffs"][4] = 1
+
+    path = user_catalog(tmp_path, "c2.json", mutate)
+    argv = ("generate", "--curve", "wamelen-c2", "--type", "superspecial", "--bits", "16",
+            "--catalog", path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (5, "")
+    assert out.splitlines()[1:] == [
+        "p = 91139",
+        "reduced: y^2 = 79019x^6 + 61395x^5 + x^4 + 16156x^3 + 19755x + 11251",
+        "prediction: (0, 2) superspecial [exact: Goren quartic reduction theorem]",
+        "verified: p-rank 2, a-number 0, group scheme L^2",
+        "MISMATCH: computed (2, 0) contradicts the prediction",
+    ]
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 5
+    res = doc["result"]
+    assert res["p"] == 91139
+    assert [res["prediction"]["profile"][k] for k in ("p_rank", "a_number")] == [0, 2]
+    assert [res["verified_profile"][k] for k in ("p_rank", "a_number")] == [2, 0]
+    code, _, _ = run(capsys, "verify", "--curve", "wamelen-c2", "--pmax", "60",
+                     "--catalog", path)
+    assert code == 5
+
+
+def test_family_label_spellings_answer_alike(capsys, tmp_path):
+    # a user catalog that lists cyclo-5 as y^2 = x^5 - 2 and cyclotomic-5
+    # without residue data: every spelling of the labels finds the listed
+    # entries, not the family's synthesized x^5 - 1 and conductor-5 field
+    def mutate(entries):
+        entries["cyclo-5"]["f_coeffs"][0] = -2
+        del entries["cyclotomic-5"]["conductor"], entries["cyclotomic-5"]["H_generators"]
+
+    path = user_catalog(tmp_path, "cyclo5.json", mutate)
+    answers = [run(capsys, "invariants", "--curve", label, "--p", "11", "--catalog", path)
+               for label in ("cyclo-5", "cyclo-05", "cyclo-005")]
+    assert answers[0][0] == 0
+    assert "  L(T) = 121T^4 - 99T^3 + 41T^2 - 9T + 1\n" in answers[0][1]
+    assert answers[1:] == answers[:1] * 2
+    answers = [run(capsys, "split", "--field", label, "--p", "11", "--method", "residue",
+                   "--catalog", path) for label in ("cyclotomic-5", "cyclotomic-05")]
+    assert answers[0][0] == 3
+    assert answers[1] == answers[0]
+
+
 def test_generate_text_skips_verification_for_large_p(capsys):
     code, out, _ = run(capsys, "generate", "--curve", "wamelen-c1",
                        "--type", "ssing-non-sspec", "--bits", "24")

@@ -24,7 +24,6 @@ from cmreduce import (
     SplittingType,
     catalog_load,
     generate,
-    generation_predicate,
     generator,
     predict_for_genus,
     reduce_curve,
@@ -139,6 +138,24 @@ def test_family_member_is_synthesized_once_per_ell():
     assert rec.label == "cyclo-7"
     assert catalog.record("cyclo-7") is rec
     assert catalog.field("cyclotomic-07") is rec.field
+
+
+def test_family_labels_find_the_listed_member(catalog):
+    # the shipped catalog lists cyclo-5 and cyclotomic-5: other spellings of
+    # their labels find them, not a synthesized twin
+    assert catalog.record("cyclo-05") is catalog.curves["cyclo-5"]
+    assert catalog.field("cyclotomic-005") is catalog.fields["cyclotomic-5"]
+
+
+@pytest.mark.parametrize("kind, label", [("fields", "cyclotomic-05"), ("curves", "cyclo-005")])
+def test_listed_family_labels_take_no_leading_zero(tmp_path, kind, label):
+    # every spelling looks up the canonical label, so such an entry would
+    # never be found; the shipped cyclotomic-5 and cyclo-5 come last
+    def mutate(data):
+        data[kind][-1]["label"] = label
+
+    with pytest.raises(CatalogError, match=rf"^{kind}\[\d\]: label '{label}' has a leading zero$"):
+        load_variant(tmp_path, mutate)
 
 
 @pytest.mark.parametrize("label", ["cyclo-\u0667", "cyclo-\uff17", "cyclo-\U0001d7d5"])
@@ -308,42 +325,53 @@ def test_reduce_curve(catalog):
         reduce_curve(catalog.record("wamelen-c1"), 11)
 
 
+def meets(record, target_type, p):
+    """Whether p meets the target generate resolves target_type to."""
+    _, target = generator._resolve_target(record, target_type)
+    split = generator._split_auto(record.field, p)
+    return generator._meets_target(record.field, target, p, split)
+
+
 def test_generation_predicate_quartic_inert(catalog):
     c1 = catalog.record("wamelen-c1")
-    check = generation_predicate(c1, "ssing-non-sspec")
     p = (1 << 128) + 51
-    assert check(p)
+    assert meets(c1, "ssing-non-sspec", p)
     assert kronecker(21125, p) == -1
-    assert not check((1 << 128) + 49)  # composite
-    assert not check(131)  # splits completely, Kronecker symbol +1
-    assert not check(4)
+    assert not meets(c1, "ssing-non-sspec", 131)  # splits completely, Kronecker symbol +1
+    # generate draws primes only; (1 << 128) + 49 is composite
+    assert not is_prime((1 << 128) + 49)
+    res = generate(c1, "ssing-non-sspec", 128)
+    assert is_prime(res.p) and meets(c1, "ssing-non-sspec", res.p)
 
 
 def test_generation_predicate_residue_targets(catalog):
     rec = catalog.record("cyclo-5")
-    ssp = generation_predicate(rec, "superspecial")
-    assert ssp(19) and ssp(29)
-    assert not ssp(11)  # split
-    assert not ssp(7)  # inert
-    ordinary = generation_predicate(rec, "ordinary")
-    assert ordinary(11) and ordinary(31)
-    assert not ordinary(19)
+    assert meets(rec, "superspecial", 19) and meets(rec, "superspecial", 29)
+    assert not meets(rec, "superspecial", 11)  # split
+    assert not meets(rec, "superspecial", 7)  # inert
+    assert meets(rec, "ordinary", 11) and meets(rec, "ordinary", 31)
+    assert not meets(rec, "ordinary", 19)
+    for target in ("superspecial", "ordinary"):
+        assert meets(rec, target, generate(rec, target, 8).p)
 
 
 def test_generation_predicate_accepts_spelling_variants(catalog):
     c1 = catalog.record("wamelen-c1")
     p = (1 << 128) + 51
     for name in ("ssing-non-sspec", "ssing non sspec", "Supersingular-Non-Superspecial"):
-        assert generation_predicate(c1, name)(p)
+        assert meets(c1, name, p)
+        res = generate(c1, name, 64)
+        assert res.target_type == "supersingular-non-superspecial"
+        assert res.p == generate(c1, "ssing-non-sspec", 64).p
 
 
 def test_generation_targets_rejected_per_genus(catalog):
-    with pytest.raises(DomainError):
-        generation_predicate(catalog.record("wamelen-c1"), "supersingular")
-    with pytest.raises(DomainError):
-        generation_predicate(catalog.record("weng-g3"), "ssing-non-sspec")
-    with pytest.raises(DomainError):
-        generation_predicate(catalog.record("cyclo-5"), "half-ordinary")
+    with pytest.raises(DomainError, match="^supersingular is ambiguous above genus 1"):
+        generate(catalog.record("wamelen-c1"), "supersingular", 16)
+    with pytest.raises(DomainError, match="^ssing-non-sspec generation is only supported"):
+        generate(catalog.record("weng-g3"), "ssing-non-sspec", 16)
+    with pytest.raises(DomainError, match="^unknown target type 'half-ordinary'"):
+        generate(catalog.record("cyclo-5"), "half-ordinary", 16)
 
 
 def test_generate_small_superspecial(catalog):
@@ -431,6 +459,18 @@ def test_generate_cross_checks_residue_search(catalog, monkeypatch):
     )
     with pytest.raises(InternalInconsistencyError):
         generate(catalog.record("weng-g3"), "ordinary", 64)
+
+
+def test_generate_returns_a_contradiction(tmp_path):
+    # wamelen-c2 with its x^4 coefficient moved from 0 to 1 lacks CM by its
+    # field; the result carries the prediction and the computed profile
+    def mutate(data):
+        data["curves"][1]["f_coeffs"][4] = 1
+
+    res = generate(load_variant(tmp_path, mutate).record("wamelen-c2"), "superspecial", 16)
+    assert res.p == 91139
+    assert (res.verified_profile.p_rank, res.verified_profile.a_number) == (2, 0)
+    assert res.prediction.matches(res.verified_profile) is False
 
 
 def test_verify_worked_primes(catalog):
