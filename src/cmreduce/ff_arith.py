@@ -25,12 +25,14 @@ and deg G (p - 1)^2 < 2^63 (the int32 history, one int64 sum per step);
 factorize loops up to sqrt(n). Their callers bound those; the pure residue
 arithmetic here takes arbitrary-precision input.
 
-jacobian_add answers the genus-2 sums that an order check makes, two
-coprime degree-2 divisors or the double of one, in closed form on plain
-ints: about 50 multiplications and two inversions mod p, with the exact
-pair that Cantor's general composition and reduction (`_cantor`) return;
-that code stays the group law at every genus and for the rare pairs the
-closed form leaves.
+jacobian_add answers the genus-2 and genus-3 sums that an order check
+makes, two coprime degree-g divisors or the double of one, in closed form
+on plain ints, with the exact pair that Cantor's general composition and
+reduction (`_cantor`) return: about 50 multiplications and two inversions
+mod p at genus 2; about 100 for a sum, 120 for a double, and three
+inversions at genus 3 (one CRT step, then two reduction steps). `_cantor`
+stays the group law at every genus, for the rare pairs the closed forms
+leave, and the reference they are tested against.
 """
 
 import random
@@ -417,8 +419,9 @@ def jacobian_add(d1, d2, f, p):
     quadratic comes from their resultant, v = v1 + u1 k, u' is the monic
     quotient (f - v^2) / (u1 u2), read off its top three coefficients, and
     v' = -v mod u'. That gives the pair `_cantor` gives. A zero resultant,
-    or k without an x term, and every other pair run `_cantor`, the group
-    law at every genus.
+    or k without an x term, runs `_cantor`. At genus 3 (deg f = 7), the
+    same pairs of cubics run `_sum3`. Every other pair runs `_cantor`, the
+    group law at every genus.
     """
     (u1, v1), (u2, v2) = d1, d2
     if u2 == [1]:
@@ -461,7 +464,83 @@ def jacobian_add(d1, d2, f, p):
             g1 = (k1 * (e1 * e1 - e0) - h2 * e1 + h1) % p
             g0 = (k1 * e1 * e0 - h2 * e0 + h0) % p
             return [e0, e1, 1], [-g0 % p, p - g1] if g1 else [-g0 % p]
+    if len(f) == 8 and len(u1) == len(u2) == 4 and (closed := _sum3(d1, d2, f, p)):
+        return closed
     return _cantor(d1, d2, f, p)
+
+
+def _sum3(d1, d2, f, p):
+    """Genus 3: Cantor's composition and its two reduction steps, or None.
+
+    k = w / r mod m, with (m, r, w) = (u2, u1 - u2, v2 - v1) for a sum and
+    (u1, 2 v1, (f - v1^2) / u1 mod u1) for a double; 1 / r is the first
+    column of the adjugate of the matrix of r mod the monic cubic m, over
+    its determinant. v = v1 + u1 k has degree 5, so u' = (f - v^2) / (u1 m),
+    read off its top five coefficients and made monic, has degree 4; with
+    g = v mod u', the second step gives u'' = (f - g^2) / u', made monic,
+    and v'' = g mod u''. A zero determinant (u1 and u2 share a root, or 2v
+    does with u), or k without an x^2 term, gives None.
+    """
+    (u1, v1), (u2, v2) = d1, d2
+    a0, a1, a2, _ = u1
+    y0, y1, y2 = v1 + [0] * (3 - len(v1))
+    _, _, _, f3, f4, f5, f6, f7 = f
+    if d1 == d2:  # w = W mod u1 for the quotient W = (f - v1^2) / u1 of degree 4
+        m0, m1, m2 = a0, a1, a2
+        w3 = f6 - a2 * f7
+        w2 = f5 - a2 * w3 - a1 * f7
+        w1 = f4 - y2 * y2 - a2 * w2 - a1 * w3 - a0 * f7
+        w0 = f3 - 2 * y2 * y1 - a2 * w1 - a1 * w2 - a0 * w3
+        w3, w2, w1 = (w3 - a2 * f7) % p, w2 - a1 * f7, w1 - a0 * f7
+        w2, w1, w0 = (w2 - a2 * w3) % p, (w1 - a1 * w3) % p, (w0 - a0 * w3) % p
+        r0, r1, r2 = 2 * y0, 2 * y1, 2 * y2
+    else:
+        m0, m1, m2, _ = u2
+        z0, z1, z2 = v2 + [0] * (3 - len(v2))
+        w0, w1, w2 = z0 - y0, z1 - y1, z2 - y2
+        r0, r1, r2 = a0 - m0, a1 - m1, a2 - m2
+    # the columns x r and x^2 r mod m of the matrix of r, then s with r s = res mod m
+    b0, b1, b2 = -r2 * m0 % p, (r0 - r2 * m1) % p, (r1 - r2 * m2) % p
+    d0, d1, d2 = -b2 * m0, b0 - b2 * m1, b1 - b2 * m2
+    s0, s1, s2 = (b1 * d2 - d1 * b2) % p, (d1 * r2 - r1 * d2) % p, (r1 * b2 - b1 * r2) % p
+    res = (r0 * s0 + b0 * s1 + d0 * s2) % p
+    if not res:
+        return None
+    t4, t3 = w2 * s2, w1 * s2 + w2 * s1  # w s, then mod m
+    t2, t1, t0 = w0 * s2 + w1 * s1 + w2 * s0, w0 * s1 + w1 * s0, w0 * s0
+    t3, t2, t1 = (t3 - m2 * t4) % p, t2 - m1 * t4, t1 - m0 * t4
+    k2 = (t2 - m2 * t3) % p
+    if not k2:
+        return None
+    t = pow(res, -1, p)
+    k2, k1, k0 = k2 * t % p, (t1 - m1 * t3) * t % p, (t0 - m0 * t3) * t % p
+    # v = c5 x^5 + ... + c0, and u1 m = x^6 + U5 x^5 + U4 x^4 + ...
+    c5 = k2
+    c4 = (k1 + a2 * k2) % p
+    c3 = (k0 + a2 * k1 + a1 * k2) % p
+    c2 = (a2 * k0 + a1 * k1 + a0 * k2 + y2) % p
+    c1 = (a1 * k0 + a0 * k1 + y1) % p
+    c0 = (a0 * k0 + y0) % p
+    U5, U4 = a2 + m2, a1 + m1 + a2 * m2
+    U3, U2 = a0 + m0 + a2 * m1 + a1 * m2, a2 * m0 + a1 * m1 + a0 * m2
+    q4 = -c5 * c5
+    q3 = -2 * c5 * c4 - U5 * q4
+    q2 = -2 * c5 * c3 - c4 * c4 - U5 * q3 - U4 * q4
+    q1 = f7 - 2 * (c5 * c2 + c4 * c3) - U5 * q2 - U4 * q3 - U3 * q4
+    q0 = f6 - 2 * (c5 * c1 + c4 * c2) - c3 * c3 - U5 * q1 - U4 * q2 - U3 * q3 - U2 * q4
+    t = pow(q4, -1, p)
+    e3, e2, e1, e0 = q3 * t % p, q2 * t % p, q1 * t % p, q0 * t % p
+    c4 -= c5 * e3
+    g3 = (c3 - c5 * e2 - c4 * e3) % p
+    g2 = (c2 - c5 * e1 - c4 * e2) % p
+    g1 = (c1 - c5 * e0 - c4 * e1) % p
+    g0 = (c0 - c4 * e0) % p
+    h2 = f6 - g3 * g3 - e3 * f7
+    h1 = f5 - 2 * g3 * g2 - e3 * h2 - e2 * f7
+    h0 = f4 - 2 * g3 * g1 - g2 * g2 - e3 * h1 - e2 * h2 - e1 * f7
+    t = pow(f7, -1, p)
+    n2, n1, n0 = h2 * t % p, h1 * t % p, h0 * t % p
+    return [n0, n1, n2, 1], poly_trim([(g0 - g3 * n0) % p, (g1 - g3 * n1) % p, (g2 - g3 * n2) % p])
 
 
 def _cantor(d1, d2, f, p):

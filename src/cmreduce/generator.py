@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import count
 
 from .cm_types import COUNT_CAP, CMType
 from .errors import (
@@ -37,6 +38,7 @@ CATALOG_VERSION = 1
 VERIFY_CAP = 1 << 20
 BITS_CAP = 1024  # largest bit size generate searches
 _GENERATE_RETRIES = 64
+_FIELD_CHECK_PRIMES = 8  # primes at which a user catalog's two field descriptions must agree
 
 
 def _rational_squarefree(coeffs):
@@ -186,8 +188,31 @@ def _require_entry(raw, where, required, optional):
         _require(ok or v is None, where, f"{key} must be {kind}")
 
 
+def _check_field_polys(field, where):
+    """Refuse a field whose defining polynomials split one of the first
+    _FIELD_CHECK_PRIMES primes not dividing the conductor otherwise than its
+    conductor and subgroup do: both must describe one field. A prime where a
+    polynomial is not squarefree (an index divisor) is passed over, and a
+    field without a conductor has nothing to check against."""
+    if field.conductor is None:
+        return
+    primes = (p for p in count(2) if is_prime(p) and field.conductor % p)
+    for _, p in zip(range(_FIELD_CHECK_PRIMES), primes):
+        try:
+            ok = split_by_factorization(field, p) == split_by_residue(field, p)
+        except NotSquarefreeError:  # p divides the index of this polynomial's order
+            continue
+        except InternalInconsistencyError:  # unequal factor degrees
+            ok = False
+        _require(ok, where, f"the defining polynomials of {field.label} disagree with its"
+                 f" conductor and subgroup at p = {p}")
+
+
 def catalog_load(path=None):
-    """Catalog from a JSON file; the packaged one when no path is given."""
+    """Catalog from a JSON file; the packaged one when no path is given.
+
+    A user catalog's fields also pass `_check_field_polys`; a test checks
+    the packaged one, so that no command pays for it."""
     try:
         if path is None:
             text = resources.files("cmreduce").joinpath("catalog.json").read_text()
@@ -227,6 +252,8 @@ def catalog_load(path=None):
             )
         except DomainError as e:
             raise CatalogError(f"{where}: {e}") from e
+        if path is not None:
+            _check_field_polys(fields[-1], where)
     by_label = {f.label: f for f in fields}
     _require(len(by_label) == len(fields), "catalog", "duplicate field labels")
     curves = []

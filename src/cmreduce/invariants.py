@@ -3,11 +3,12 @@
 Everything here is computed from the curve equation alone: the Cartier-Manin
 matrix gives the p-rank and a-number, exhaustive point counts over small
 extensions give the L-polynomial, and the Newton polygon falls out of the
-L-polynomial. At genus 2 only the count over F_p runs: Manin's congruence
-L(T) = det(I - T A_0) mod p gives a_2 mod p, and the order of J(F_p), in
-Cantor's arithmetic, picks its lift within the Weil bounds; the count over
-F_{p^2} is the fallback when no divisor tells the lifts apart. Every
-computed L-polynomial is checked against the congruence. The group-scheme
+L-polynomial. At genus 2 and 3 the counts run over F_{p^k} for k < g only:
+Manin's congruence L(T) = det(I - T A_0) mod p gives a_g mod p, and the
+order of J(F_p), in Cantor's arithmetic, picks its lift within the Weil
+bounds that a_1, ..., a_{g-1} leave; the count over F_{p^g} is the fallback
+when no divisor tells the lifts apart. Every computed L-polynomial is
+checked against the congruence. The group-scheme
 classifier maps (p-rank, a-number, slopes) to the p-torsion label at every
 genus; the predictor names its profiles through the same classifier.
 """
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import ceil, comb, floor, isqrt, sqrt
 
 from .errors import (
     BadReductionError,
@@ -50,7 +51,7 @@ SLOPE_BUDGET = 1 << 21  # largest p^g for which slopes are computed
 CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
 _CHUNK = 1 << 16  # float64 entries in one product of a point count
 _EXACT = 1 << 53  # float64 sums of products stay exact below this
-_DIVISORS = 4  # divisors the genus-2 order check tries before it counts over F_{p^2}
+_DIVISORS = 4  # divisors the order check tries before it counts over F_{p^g}
 _POINT_DRAWS = 64  # x values it draws for their points
 
 
@@ -270,28 +271,54 @@ def _manin(a, p):
     return c
 
 
-def _genus2_a2(curve, a1):
-    """a_2 of a genus-2 curve with L(T) = 1 + a1 T + ..., from Manin's
-    congruence and the order of J(F_p), or None when this route cannot tell.
+def _weil_range(p, a):
+    """[lo, hi] holding a_g of a genus-2 or genus-3 L(T) = 1 + a_1 T + ...,
+    given a = [1, a_1, ..., a_{g-1}], by the Weil bounds.
 
-    a_2 = det A_0 mod p (the T^2 term of det(I - T A_0)), and the Weil bounds
-    put a_2 in [2 sqrt(p) |a1| - 2p, a1^2 / 4 + 2p], so at most 5 lifts
-    spaced p apart remain, each giving an order L(1) of J(F_p). The odd
-    model takes the least F_p-root r of a sextic to infinity, t^6 f(r + 1/t),
-    which leaves L unchanged. Each divisor P_1 + P_2, from points in a seeded
-    order, keeps the lifts whose order kills it: no survivor is an
-    inconsistency, one is a_2, and a tie after _DIVISORS divisors (or a
-    sextic with no root, or too few points) gives None.
+    L(T) = prod (1 - t_i T + p T^2) with real |t_i| <= 2 sqrt(p). At genus
+    2, a_2 lies in [2 sqrt(p) |a_1| - 2p, a_1^2 / 4 + 2p], in integers. At
+    genus 3, e1 = -a_1 and e2 = a_2 - 3p are the first two elementary
+    symmetric functions of the t_i and a_3 = 2p a_1 - e3; the t_i are the
+    roots of q(t) - e3, q(t) = t^3 - e1 t^2 + e2 t, so e3 lies between the
+    local minimum q(t+) and maximum q(t-) of q, and q(-2 sqrt(p)) <= e3 <=
+    q(2 sqrt(p)). Those bounds are taken in floats, rounded outwards.
+    """
+    a1 = a[1]
+    if len(a) == 2:
+        b = 4 * p * a1 * a1  # 2 sqrt(p) |a1| = sqrt(b)
+        return isqrt(b) + (isqrt(b) ** 2 < b) - 2 * p, a1 * a1 // 4 + 2 * p
+    e1, e2 = -a1, a[2] - 3 * p
+    d, s = sqrt(max(e1 * e1 - 3 * e2, 0)), 2 * sqrt(p)
+
+    def q(t):
+        return ((t - e1) * t + e2) * t
+
+    low, high = max(q((e1 + d) / 3), q(-s)), min(q((e1 - d) / 3), q(s))
+    return floor(2 * p * a1 - high), ceil(2 * p * a1 - low)
+
+
+def _order_lift(curve, a):
+    """a_g of a genus-2 or genus-3 curve whose L(T) starts with a = [1, a_1,
+    ..., a_{g-1}], from Manin's congruence and the order of J(F_p), or None
+    when this route cannot tell.
+
+    a_g is the T^g coefficient of det(I - T A_0) mod p, and `_weil_range`
+    leaves its lifts spaced p apart (at most 5 at genus 2, and at most
+    4 sqrt(p) + 2 at genus 3), each giving an order L(1) of J(F_p). The odd
+    model takes the least F_p-root r of an even-degree f to infinity,
+    t^(2g+2) f(r + 1/t), which leaves L unchanged. Each divisor P_1 + ... +
+    P_g, from points in a seeded order, keeps the lifts whose order kills
+    it: no survivor is an inconsistency, one is a_g, and a tie after
+    _DIVISORS divisors (or an even-degree f with no root, or too few
+    points) gives None.
     """
     import numpy as np
-    p, f = curve.p, list(curve.coeffs)
-    (m00, m01), (m10, m11) = cartier_manin(curve)
-    res = (m00 * m11 - m01 * m10) % p
-    b = 4 * p * a1 * a1  # 2 sqrt(p) |a1| = sqrt(b)
-    first = isqrt(b) + (isqrt(b) ** 2 < b) - 2 * p
-    first += (res - first) % p
-    lifts = range(first, a1 * a1 // 4 + 2 * p + 1, p)
-    if curve.degree == 6:
+    p, f, g = curve.p, list(curve.coeffs), curve.genus
+    res = _manin(cartier_manin(curve), p)[g]
+    lo, hi = _weil_range(p, a)
+    first = lo + (res - lo) % p
+    lifts = range(first, hi + 1, p)
+    if curve.degree % 2 == 0:
         for x0 in range(0, p, _CHUNK):
             zeros = np.flatnonzero(_hasse(f, np.arange(x0, min(x0 + _CHUNK, p)), 1, p) == 0)
             if zeros.size:
@@ -308,23 +335,25 @@ def _genus2_a2(curve, a1):
         y2 = sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
         if y2 and pow(y2, (p - 1) // 2, p) == 1:
             points.append(([-x % p, 1], [sqrt_mod(y2, p)]))
-            if len(points) == 2 * _DIVISORS:
+            if len(points) == g * _DIVISORS:
                 break
     # L(1) = q p + r for the first lift, and each next lift adds p
-    q, r = divmod(1 + a1 + first + p * a1 + p * p, p)
+    q, r = divmod(sum(a) + first + sum(p**i * a[g - i] for i in range(1, g + 1)), p)
     alive = set(lifts)
-    for i in range(0, len(points) - 1, 2):
-        div = jacobian_add(points[i], points[i + 1], f, p)
+    for i in range(0, len(points) - g + 1, g):
+        div = points[i]
+        for point in points[i + 1 : i + g]:
+            div = jacobian_add(div, point, f, p)
         step = jacobian_mul([(p, div)], f, p)
         acc = jacobian_mul([(q, step), (r, div)], f, p)
-        for j, a2 in enumerate(lifts):
+        for j, lift in enumerate(lifts):
             acc = jacobian_add(acc, step, f, p) if j else acc
             if acc != ([1], [0]):
-                alive.discard(a2)
+                alive.discard(lift)
         if not alive:
             raise InternalInconsistencyError(
-                f"no lift of a_2 = {res} mod {p} within the Weil bounds for a_1 = {a1}"
-                f" has an order of J(F_{p}) that kills {div}")
+                f"no lift of a_{g} = {res} mod {p} within the Weil bounds for a_0..a_{g - 1}"
+                f" = {a} has an order of J(F_{p}) that kills {div}")
         if len(alive) == 1:
             return alive.pop()
     return None
@@ -333,19 +362,21 @@ def _genus2_a2(curve, a1):
 def l_polynomial(curve):
     """Numerator of the zeta function, little-endian, degree 2g.
 
-    a_1 comes from the point count over F_p. At genus 2, a_2 comes from
-    Manin's congruence and the order of J(F_p) (`_genus2_a2`), with the
-    count over F_{p^2} as the fallback; otherwise a_1..a_g come from point
-    counts over F_{p^k}, k <= g, via Newton's identities. The upper half is
-    filled in by a_{g+i} = p^i a_{g-i}.
+    a_1, ..., a_{g-1} come from the point counts over F_{p^k}, k < g, via
+    Newton's identities. At genus 2 and 3, a_g comes from Manin's congruence
+    and the order of J(F_p) (`_order_lift`), with the count over F_{p^g} as
+    the fallback; at every other genus it comes from that count. The upper
+    half is filled in by a_{g+i} = p^i a_{g-i}.
     """
     g, p = curve.genus, curve.p
-    s = [p + 1 - point_count(curve, 1)]
-    if g == 2 and (a2 := _genus2_a2(curve, -s[0])) is not None:
-        return [1, -s[0], a2, -p * s[0], p * p]
-    s += [p**k + 1 - point_count(curve, k) for k in range(2, g + 1)]
-    e = [1]
+    s, e = [], [1]  # power sums and elementary symmetric functions, e_k = (-1)^k a_k
     for k in range(1, g + 1):
+        if k == g and g in (2, 3):
+            top = _order_lift(curve, [(-1) ** i * c for i, c in enumerate(e)])
+            if top is not None:
+                e.append((-1) ** g * top)
+                break
+        s.append(p**k + 1 - point_count(curve, k))
         acc = sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1))
         if acc % k:
             raise InternalInconsistencyError(

@@ -246,9 +246,9 @@ def test_invariants_text_formats_l_polynomial(capsys):
 
 
 def test_invariants_counts_points_once(capsys, monkeypatch):
-    # the L-polynomial comes with the profile: one point count per k <= g
-    # (k = 1 alone at g = 2), and one Cartier-Manin matrix serves the p-rank,
-    # the a-number, Manin's congruence and the genus-2 a_2
+    # the L-polynomial comes with the profile: one point count per k < g
+    # (k = 1 alone at g = 2, k = 1, 2 at g = 3), and one Cartier-Manin
+    # matrix serves the p-rank, the a-number, Manin's congruence and a_g
     counts, cartier = [], []
     count, half = invariants.point_count, invariants.half_power_coeffs
 
@@ -263,9 +263,9 @@ def test_invariants_counts_points_once(capsys, monkeypatch):
     monkeypatch.setattr(invariants, "point_count", counted)
     monkeypatch.setattr(invariants, "half_power_coeffs", counted_half)
     for argv, ks in (
-        (["invariants", "--curve", "weng-g3", "--p", "59"], [1, 2, 3]),
-        (["verify", "--curve", "weng-g3", "--p", "59"], [1, 2, 3]),
-        # at g = 2 the order of J(F_p) gives a_2: no count over F_{p^2}
+        # the order of J(F_p) gives a_g: no count over F_{p^g}
+        (["invariants", "--curve", "weng-g3", "--p", "59"], [1, 2]),
+        (["verify", "--curve", "weng-g3", "--p", "59"], [1, 2]),
         (["invariants", "--curve", "cyclo-5", "--p", "1447"], [1]),
         # 12-bit p is past the slope edge at g = 3: no point counts
         (["generate", "--curve", "weng-g3", "--type", "ordinary", "--bits", "12"], []),
@@ -533,6 +533,24 @@ def test_malformed_catalog_json_envelope(capsys, tmp_path):
     assert doc["error"]["type"] == "CatalogError"
     assert doc["error"]["message"] == "curves[0]: f_coeffs must be a list of integers"
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("method", ["factor", "residue", "auto"])
+def test_catalog_polynomial_of_another_field_exits_3(capsys, tmp_path, method):
+    # x^4 + x^3 + x^2 + x + 2 cuts out no Galois field; the factor route met
+    # it at p = 19 as "unequal factor degrees [1, 3]", exit 6, while the
+    # residue route answered; now every route refuses the catalog at load
+    data = json.loads(SHIPPED)
+    next(f for f in data["fields"] if f["label"] == "cyclotomic-5")["defining_polys"] = [
+        [2, 1, 1, 1, 1]]
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(data))
+    code, doc, _ = run_json(capsys, "split", "--field", "cyclotomic-5", "--p", "19",
+                            "--method", method, "--catalog", str(path))
+    assert code == 3
+    assert doc["error"] == {"type": "CatalogError", "message": "fields[2]: the defining"
+                            " polynomials of cyclotomic-5 disagree with its conductor and"
+                            " subgroup at p = 3"}
 
 
 def test_catalog_model_change_verifies_alike(capsys, tmp_path):

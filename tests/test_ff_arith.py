@@ -2,9 +2,9 @@
 
 Cross-checks against naive reimplementations with seeded randomness, so the
 fast paths (Kronecker-substitution multiply, DDF, echelon rank, the chunked
-Cartier-Manin recurrence against its per-coefficient loop, the genus-2
-closed form of the group law against Cantor's list-polynomial code) are
-never the only implementation of themselves.
+Cartier-Manin recurrence against its per-coefficient loop, the genus-2 and
+genus-3 closed forms of the group law against Cantor's list-polynomial
+code) are never the only implementation of themselves.
 """
 
 import math
@@ -415,6 +415,54 @@ def test_jacobian_closed_form_matches_cantor(p, monkeypatch):
             if i >= first and got != ZERO and len(divs) < 100:
                 divs.append(got)
     assert total > 200
+    if p >= 101:
+        assert closed >= 0.9 * total, (closed, total)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 31, 101, 113, 1009])
+def test_jacobian_genus3_closed_form_matches_cantor(p, monkeypatch):
+    # seeded random degree-7 models, monic or not: sums and doubles of
+    # degree-3 divisors equal Cantor's composition and reduction, and from
+    # p = 101 on the closed form answers at least 90% of them; the pairs it
+    # must leave (u1 and u2 sharing a root, deg u < 3) run `_cantor`, and
+    # D + (-D) is zero before either
+    rng = random.Random(p)
+    cantor, generic = ff_arith._cantor, []
+    monkeypatch.setattr(ff_arith, "_cantor", lambda *a: generic.append(a) or cantor(*a))
+
+    def add(d1, d2):
+        generic.clear()
+        got = jacobian_add(d1, d2, f, p)
+        assert got == cantor(d1, d2, f, p), (f, p, d1, d2)
+        return got
+
+    closed = total = 0
+    for _ in range(6):
+        f = [rng.randrange(p) for _ in range(7)] + [rng.choice([1, rng.randrange(1, p)])]
+        if poly_gcd(f, poly_deriv(f, p), p) != [1]:
+            continue
+        pts = [pt for pt in _points(f, p) if pt[1] != [0]]
+        rng.shuffle(pts)
+        if len(pts) < 5:
+            continue
+        p1, p2, p3, p4, p5 = pts[:5]
+        two = add(p1, p2)
+        shared = add(two, p3), add(add(p1, p4), p5)  # both contain P_1
+        for d1, d2 in (shared, (two, shared[1]), (shared[0], p4)):
+            add(d1, d2)
+            assert generic, (f, p, d1, d2)
+        assert add(shared[0], (shared[0][0], [-c % p for c in shared[0][1]])) == ZERO
+        assert not generic
+        divs = [add(add(a, b), c) for a, b, c in zip(pts[:48:3], pts[1:48:3], pts[2:48:3])]
+        for _ in range(150):
+            d1, d2 = rng.choice(divs), rng.choice(divs)
+            for pair in ((d1, d2), (d1, d1)):
+                got = add(*pair)
+                if len(pair[0][0]) == len(pair[1][0]) == 4 and got != ZERO:
+                    closed, total = closed + (not generic), total + 1
+                if got != ZERO and len(divs) < 100:
+                    divs.append(got)
+    assert total > 100
     if p >= 101:
         assert closed >= 0.9 * total, (closed, total)
 

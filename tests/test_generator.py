@@ -192,6 +192,34 @@ def test_catalog_load_rejects_malformed(tmp_path, catalog):
     assert list(load_variant(tmp_path, lambda d: None).curves) == list(catalog.curves)
 
 
+def test_shipped_fields_pass_the_polynomial_check(catalog, monkeypatch):
+    # the packaged catalog and the cyclotomic family are checked here, not at
+    # load: catalog_load() runs no check, a user catalog one per field
+    family = [f"cyclotomic-{ell}" for ell in (3, 7, 11, 13)]
+    for label in [*catalog.fields, *family]:
+        generator._check_field_polys(catalog.field(label), label)
+    checked = []
+    monkeypatch.setattr(generator, "_check_field_polys", lambda f, where: checked.append(f))
+    catalog_load()
+    assert checked == []
+    catalog_load(resources.files("cmreduce") / "catalog.json")
+    assert [f.label for f in checked] == list(catalog.fields)
+
+
+@pytest.mark.parametrize("label, poly, p", [
+    # a quartic that is no Galois field: unequal factor degrees at p = 3
+    ("cyclotomic-5", [2, 1, 1, 1, 1], 3),
+    # Q(zeta_5), where the conductor describes the other quartic field
+    ("quartic-5-65-845", [1, 1, 1, 1, 1], 11),
+])
+def test_catalog_load_refuses_polynomials_of_another_field(tmp_path, label, poly, p):
+    def mutate(d):
+        next(f for f in d["fields"] if f["label"] == label)["defining_polys"] = [poly]
+
+    with pytest.raises(CatalogError, match=rf"^fields\[\d\]: .*{label} .* at p = {p}$"):
+        load_variant(tmp_path, mutate)
+
+
 @pytest.mark.parametrize("mutate", [
     pytest.param(lambda d: d["curves"][0].update(genus="2"), id="string-genus"),
     pytest.param(lambda d: d["curves"][0].update(genus=True), id="bool-genus"),

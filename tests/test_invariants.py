@@ -655,7 +655,7 @@ def test_genus2_order_check_matches_count(catalog, label):
         except BadReductionError:
             continue
         a1 = point_count(curve, 1) - p - 1
-        a2 = invariants._genus2_a2(curve, a1)
+        a2 = invariants._order_lift(curve, [1, a1])
         if a2 is None:
             undecided.append(p)
         else:
@@ -713,6 +713,107 @@ def test_genus2_random_models_match_the_count(monkeypatch):
     assert fell_back[-3:] == [True] * 3 and any(fell_back[:3])
 
 
+@pytest.mark.parametrize("label", ["weng-g3", "cyclo-7"])
+def test_genus3_order_check_matches_count(catalog, label):
+    # the lift of a_3 that the order of J(F_p) picks, within the Weil range
+    # left by the counted a_1 and a_2, is the count's a_3 at every good
+    # prime <= 127; only p = 3 and 5, with too few points for a divisor
+    # P_1 + P_2 + P_3, fall back to the count over F_{p^3}
+    undecided, good = [], 0
+    for p in range(3, 128):
+        if not is_prime(p):
+            continue
+        try:
+            curve = ReducedCurve(p, list(catalog.record(label).f_coeffs))
+        except BadReductionError:
+            continue
+        counted, good = _counted_l(curve), good + 1
+        a3 = invariants._order_lift(curve, counted[:3])
+        if a3 is None:
+            undecided.append(p)
+        else:
+            assert a3 == counted[3], p
+    assert undecided == [3, 5] and good == 29
+
+
+def test_genus3_random_models_match_the_count(monkeypatch):
+    # seeded random models of degree 7 and 8 at every prime <= 60: L(T)
+    # equals the counted one, and the count over F_{p^3} runs only where the
+    # order check returns None; above p = 7 that happens only for the
+    # degree-8 models with no F_p-root
+    ks, lifts = [], []
+    count, lift = invariants.point_count, invariants._order_lift
+
+    def counted(curve, k=1):
+        ks.append(k)
+        return count(curve, k)
+
+    def order_lift(curve, a):
+        lifts.append(lift(curve, a))
+        return lifts[-1]
+
+    monkeypatch.setattr(invariants, "point_count", counted)
+    monkeypatch.setattr(invariants, "_order_lift", order_lift)
+    rng = random.Random(3)
+    decided = 0
+    for p in (p for p in range(3, 61) if is_prime(p)):
+        for degree in (7, 7, 8, 8):
+            while True:
+                f = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+                try:
+                    curve = ReducedCurve(p, f)
+                    break
+                except BadReductionError:
+                    continue
+            want = _counted_l(curve)
+            ks.clear()
+            assert l_polynomial(curve) == want, curve
+            assert lifts[-1] in (None, want[3]) and (3 in ks) == (lifts[-1] is None), curve
+            rootless = degree == 8 and all(
+                sum(c * pow(x, i, p) for i, c in enumerate(curve.coeffs)) % p for x in range(p))
+            if p > 7:
+                assert (lifts[-1] is None) == rootless, curve
+            decided += lifts[-1] is not None
+    assert decided > 40
+
+
+@pytest.mark.parametrize("p", [5, 31, 127])
+def test_genus3_weil_range_is_the_real_rooted_range(p):
+    # a_3 = 2p a_1 - e3 is admitted when t^3 - e1 t^2 + e2 t - e3 has three
+    # real roots in [-2 sqrt(p), 2 sqrt(p)]; up to the outward rounding,
+    # lo + 1 and hi - 1 are admitted, lo - 1 and hi + 1 are not
+    import numpy as np
+    s, rng, checked = 2 * math.sqrt(p), random.Random(p), 0
+
+    def admitted(a1, a2, a3):
+        roots = np.roots([1, a1, a2 - 3 * p, a3 - 2 * p * a1])
+        return bool(np.all(abs(roots.imag) < 1e-6) and np.all(abs(roots.real) <= s))
+
+    while checked < 40:
+        t = [rng.uniform(-s, s) for _ in range(3)]
+        a1, a2 = -round(sum(t)), round(t[0] * t[1] + t[0] * t[2] + t[1] * t[2]) + 3 * p
+        lo, hi = invariants._weil_range(p, [1, a1, a2])
+        if hi - lo >= 4:
+            checked += 1
+            assert admitted(a1, a2, lo + 1) and admitted(a1, a2, hi - 1), (a1, a2)
+            assert not admitted(a1, a2, lo - 1) and not admitted(a1, a2, hi + 1), (a1, a2)
+
+
+def test_genus3_order_check_reports_a_tie(monkeypatch):
+    # at p = 7 the one divisor this model gives is killed by more than one
+    # candidate order, so the route returns None and L(T) comes from the
+    # count over F_{7^3}; so does weng-g3 at p = 5, with two points off y = 0
+    calls, mul = [], invariants.jacobian_mul
+    monkeypatch.setattr(invariants, "jacobian_mul", lambda *a: calls.append(a) or mul(*a))
+    for p, f, divisors in ((7, [5, 5, 5, 1, 6, 2, 2, 1], 1), (5, WENG, 0)):
+        calls.clear()
+        curve = ReducedCurve(p, f)
+        counted = _counted_l(curve)
+        assert invariants._order_lift(curve, counted[:3]) is None
+        assert len(calls) == 2 * divisors  # [p]D, then [L(1)]D for the first lift
+        assert l_polynomial(curve) == counted
+
+
 def test_manin_polynomial_matches_principal_minors():
     # det(I - T A) = sum_k (-T)^k (sum of the principal k x k minors of A)
     rng = random.Random(5)
@@ -733,8 +834,8 @@ def test_manin_polynomial_matches_principal_minors():
 @pytest.mark.parametrize("p, coeffs, entry", [(13, WENG, (2, 0)), (61, WAMELEN_C1, (1, 0))])
 def test_cartier_manin_perturbation_breaks_the_congruence(monkeypatch, p, coeffs, entry):
     # one off-diagonal entry of A_0 moved, with rank(A_0^g) the same: the
-    # zero-slope count of the counted L(T) still equals the p-rank, but
-    # Manin's congruence (g = 3) and the order check (g = 2) refuse it
+    # zero-slope count of the counted L(T) still equals the p-rank, but the
+    # order check refuses it, before Manin's congruence is checked
     curve = ReducedCurve(p, coeffs)
     a = [list(row) for row in cartier_manin(curve)]
     good = p_rank(curve), invariants._manin(a, p)
