@@ -254,6 +254,7 @@ def point_count(curve, k=1):
     return total + (2 if roots[coeffs[-1]] else 0)
 
 
+@lru_cache(maxsize=1)  # one entry: _order_lift and reduction_profile ask for the same A_0
 def _manin(a, p):
     """det(I - T a) mod p, little-endian, for a square matrix a of residues,
     by Berkowitz's division-free recurrence (it holds at any p, p <= g too):

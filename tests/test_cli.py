@@ -190,12 +190,14 @@ def test_family_labels_take_only_ascii_digits(capsys, argv):
 
 
 def test_split_non_prime(capsys):
-    # each route refuses p itself
-    for method in ("residue", "factor", "stickelberger", "auto"):
-        code, _, err = run(capsys, "split", "--field", "cyclotomic-5", "--p", "21",
-                           "--method", method)
-        assert code == 3, method
-        assert "21 is not prime" in err, method
+    # each route refuses p itself, also psi_12 = 399165290221 * 798330580441,
+    # a strong pseudoprime to the 12 bases 2..37 that base 41 refuses
+    for p in ("21", "318665857834031151167461"):
+        for method in ("residue", "factor", "stickelberger", "auto"):
+            code, out, err = run(capsys, "split", "--field", "cyclotomic-5", "--p", p,
+                                 "--method", method)
+            assert (code, out) == (3, ""), (p, method)
+            assert f"{p} is not prime" in err, (p, method)
 
 
 def test_invariants_json(capsys):
@@ -294,7 +296,9 @@ def test_invariants_counts_points_once(capsys, monkeypatch):
       for c, t in (("weng-g3", "ordinary"), ("wamelen-c1", "ssing-non-sspec"))],
 ])
 def test_each_entry_proves_its_prime_once(capsys, monkeypatch, argv, proofs):
-    # every entry checks p itself, but the Miller-Rabin rounds run once
+    # every entry checks p itself, but the Miller-Rabin rounds run once: none
+    # below 1009^2 (the gcd sieve decides), the 13 bases below psi_13, and
+    # base 2 then the 64 seeded rounds from psi_13 up
     calls = Counter()
     rounds = Counter()
     witness = ff_arith._mr_witness
@@ -316,8 +320,8 @@ def test_each_entry_proves_its_prime_once(capsys, monkeypatch, argv, proofs):
     assert code == 0
     p = int(argv[argv.index("--p") + 1]) if "--p" in argv else doc["result"]["p"]
     assert 1 <= calls[p] <= proofs
-    extra = ff_arith._MR_EXTRA_ROUNDS if p >= ff_arith._MR_DET_BOUND else 0
-    assert rounds[p] == len(ff_arith._MR_BASES) + extra
+    want = 0 if p < 10**6 else 13 if p < ff_arith._MR_DET_BOUND else 1 + 64
+    assert rounds[p] == want
 
 
 def test_invariants_bad_reduction_exit(capsys):

@@ -7,6 +7,7 @@ genus-3 closed forms of the group law against Cantor's list-polynomial
 code) are never the only implementation of themselves.
 """
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -37,6 +38,13 @@ from cmreduce.ff_arith import (
 from cmreduce.invariants import ReducedCurve, point_count
 
 
+# the distinct psi_k, k = 1..13, the least strong pseudoprimes to the first k
+# prime bases (Sorenson and Webster, Math. Comp. 86, 2017): psi_8 = psi_9, and
+# psi_10 = psi_11 = psi_12 = 399165290221 * 798330580441
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+       3825123056546413051, 318665857834031151167461, 3317044064679887385961981]
+
+
 def trial_division(n):
     if n < 2:
         return False
@@ -49,7 +57,10 @@ def trial_division(n):
 
 
 def test_is_prime_small_range():
-    for n in range(-3, 2000):
+    # and windows around 997^2, 10^6 and 1009^2 = 1018081, the first composite
+    # that the gcd with the primes below 1000 lets through
+    windows = (range(lo, lo + 2001) for lo in (993009, 999000, 1017081))
+    for n in itertools.chain(range(-3, 2000), *windows):
         assert is_prime(n) == trial_division(n), n
 
 
@@ -66,8 +77,29 @@ def test_is_prime_carmichael_and_strong_pseudoprimes():
     # Carmichael numbers fool the Fermat test for every coprime base
     for n in (561, 1105, 1729, 41041, 825265):
         assert not is_prime(n)
-    # strong pseudoprime to bases 2, 3, 5, 7 simultaneously
-    assert not is_prime(3215031751)
+    assert PSI[-2] == 399165290221 * 798330580441
+    for n in PSI:
+        assert not is_prime(n), n
+
+
+def test_is_prime_accepts_the_nearest_primes_around_psi13(monkeypatch):
+    # the prime below psi_13 is proved by the 13 bases, the one above by base 2
+    # and the 64 seeded rounds
+    rounds = []
+    witness = ff_arith._mr_witness
+
+    def counted(a, d, s, n):
+        rounds.append(a)
+        return witness(a, d, s, n)
+
+    monkeypatch.setattr(ff_arith, "_mr_witness", counted)
+    psi13 = PSI[-1]
+    for n, want in ((psi13 - 168, 13), (psi13 + 142, 65)):
+        ff_arith._miller_rabin.cache_clear()
+        rounds.clear()
+        assert is_prime(n), n
+        assert len(rounds) == want and rounds[0] == 2, n
+    assert not any(is_prime(n) for n in range(psi13 - 167, psi13 + 142))
 
 
 def test_is_prime_large():
@@ -81,8 +113,8 @@ def test_is_prime_large():
 def test_is_prime_alternating_large_values():
     # the Miller-Rabin verdict is memoised for the last n only: alternating
     # p and p + 2 must each get their own verdict, first call or repeated.
-    # No p + 2 here has a factor below 50, so each reaches Miller-Rabin
-    cases = [(128, 303, False), (128, 993, True), (256, 141, False), (256, 1269, True)]
+    # No p + 2 here has a factor below 1000, so each reaches Miller-Rabin
+    cases = [(128, 681, False), (128, 993, True), (256, 141, False), (256, 1269, True)]
     for bits, offset, twin in cases:
         p = (1 << (bits - 1)) + offset
         for _ in range(3):

@@ -838,14 +838,25 @@ def test_cartier_manin_perturbation_breaks_the_congruence(monkeypatch, p, coeffs
     # order check refuses it, before Manin's congruence is checked
     curve = ReducedCurve(p, coeffs)
     a = [list(row) for row in cartier_manin(curve)]
-    good = p_rank(curve), invariants._manin(a, p)
+    good = p_rank(curve), invariants._manin(cartier_manin(curve), p)
     a[entry[0]][entry[1]] = (a[entry[0]][entry[1]] + 1) % p
-    monkeypatch.setattr(invariants, "cartier_manin", lambda c: tuple(map(tuple, a)))
-    assert p_rank(curve) == good[0] and invariants._manin(a, p) != good[1]
+    moved = tuple(map(tuple, a))  # _manin keeps its last answer, so takes hashable rows
+    monkeypatch.setattr(invariants, "cartier_manin", lambda c: moved)
+    assert p_rank(curve) == good[0] and invariants._manin(moved, p) != good[1]
     slopes = newton_slopes(_counted_l(curve), p)
     assert sum(1 for s in slopes if s == 0) == good[0]
     with pytest.raises(InternalInconsistencyError):
         l_polynomial(curve) if curve.genus == 2 else reduction_profile(curve)
+
+
+@pytest.mark.parametrize("p, coeffs", [(59, WENG), (61, WAMELEN_C1)])
+def test_profile_computes_the_manin_polynomial_once(p, coeffs):
+    # the order check takes a_g mod p from det(I - T A_0), and the congruence
+    # check of the profile reads the same polynomial: one computation
+    invariants._manin.cache_clear()
+    profile = reduction_profile(ReducedCurve(p, coeffs))
+    info = invariants._manin.cache_info()
+    assert profile.l_polynomial is not None and (info.misses, info.hits) == (1, 1)
 
 
 def test_newton_slopes_worked_values():
