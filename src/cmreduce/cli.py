@@ -317,16 +317,20 @@ _COMMANDS = {
 
 
 def build_parser(command=None):
-    """Every command is registered, so the top-level help, choices and usage
-    never change; only `command` (every command when None) gets arguments."""
+    """Every command registers its name and help, so the top-level help and
+    usage never change; only `command` (every one when None) gets a parser."""
     parser = argparse.ArgumentParser(
         prog="cmreduce",
         description="Predict and verify reduction types of CM curves.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command_parser(prog, **kw):  # prog is "cmreduce <name>"; the others map to None
+        return argparse.ArgumentParser(prog, **kw) if command in (None, prog.split()[-1]) else None
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=command_parser)
     for name, (func, text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if command in (None, name):
+        if p is not None:
             for flag, kwargs in _COMMON + arguments:
                 p.add_argument(flag, **kwargs)
             p.set_defaults(func=func)

@@ -826,11 +826,16 @@ def test_command_parser_parses_like_the_full_one(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
 def test_build_parser_adds_arguments_only_to_its_command(command):
+    # every command registers its name and help; only `command` gets a parser
     sub = next(a for a in cli.build_parser(command)._actions
                if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(cli._COMMANDS)
+    assert [a.dest for a in sub._choices_actions] == list(cli._COMMANDS)
     for name, parser in sub.choices.items():
+        if command not in (None, name):
+            assert parser is None, name
+            continue
         flags = [a.option_strings[-1] for a in parser._actions[1:]]  # after --help
         _, _, arguments = cli._COMMANDS[name]
-        want = [f for f, _ in cli._COMMON + arguments] if command in (None, name) else []
-        assert flags == want, name
+        assert flags == [f for f, _ in cli._COMMON + arguments], name
+        assert parser.prog == f"cmreduce {name}"

@@ -271,10 +271,10 @@ def random_stride_poly(rng, p, deg_g, s, v):
 
 
 @pytest.mark.parametrize("p, deg_g, s, v, top", [
-    (65537, 3, 1, 0, None),  # blocks of 360 chunks, several slabs per pass
+    (65537, 3, 1, 0, None),  # blocks of 721 chunks in groups of 26, several slabs per pass
     (200003, 3, 1, 1, None),  # inverses of r in [2^17, 2^18) take two slabs
-    (101, 50, 1, 0, None),  # _SLAB / 50^2 caps a block's 14 chunks at 13
-    (1009, 5, 1, 0, 2 * 1009 + 11),  # 3 blocks of chunks of 23, the last of 10 steps
+    (101, 50, 1, 0, None),  # _SLAB / 50^2 caps a block's 28 chunks at 13
+    (1009, 5, 1, 0, 2 * 1009 + 11),  # 3 blocks of chunks of 12, the last of 10 steps
     (211, 57, 2, 2, None),
     (101, 190, 1, 0, None),  # _SLAB / 190^2 = 0: still one chunk
     (1073741789, 8, 1, 0, 600),  # 8 (p - 1)^2 just below 2^63
@@ -314,6 +314,82 @@ def test_half_power_coeffs_matches_reference_on_random_strides():
         f = random_stride_poly(rng, p, rng.randrange(1, 9), s, rng.randrange(0, 3))
         wanted = range(-3, min(len(f) * (p - 1) // 2, 4 * p) + 2 * s)
         assert half_power_coeffs(f, p, wanted) == reference_half_power_coeffs(f, p, wanted), (f, p)
+
+
+def run_recording_schedule(monkeypatch, f, p, wanted):
+    """half_power_coeffs(f, p, wanted), its plan as (size, q, groups), and
+    the chunks that pass 3 ran in each block that ran it."""
+    runs, plans = [], []
+    steps, recur = ff_arith._steps, ff_arith._recur
+
+    def recording_steps(chunk, size, state, a, c, inv, p, out=None):
+        if out is not None:
+            runs.append(chunk.tolist())
+        return steps(chunk, size, state, a, c, inv, p, out)
+
+    def recording_recur(*args):
+        plans.append(recur(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(ff_arith, "_steps", recording_steps)
+    monkeypatch.setattr(ff_arith, "_recur", recording_recur)
+    got = half_power_coeffs(f, p, wanted)
+    monkeypatch.undo()
+    size, pre = plans[0]
+    return got, (size, pre.shape[1] - 1, pre.shape[0]), runs
+
+
+# p = 1009, deg G = 5: e deg G = 2520, so the last block starts at k = 2018 and
+# runs 502 steps once an index above 2520 clips top to 2520
+LAST_BLOCK = {  # the last block's wanted r, from the plan's chunk size and group size
+    "first chunk": lambda size, q: [1, size],
+    "short last chunk": lambda size, q: [502],
+    "several chunks": lambda size, q: [1, size + 1, 3 * size, 502],
+    "no wanted index": lambda size, q: [],
+    "only its pin": lambda size, q: [0],
+    "first group": lambda size, q: [1, 2 * size, q * size],
+}
+
+
+@pytest.mark.parametrize("case", LAST_BLOCK)
+def test_half_power_coeffs_runs_the_last_block_on_its_wanted_chunks(monkeypatch, case):
+    p, base = 1009, 2018
+    f = random_stride_poly(random.Random(5), p, 5, 1, 0)
+    _, (size, q, _), _ = run_recording_schedule(monkeypatch, f, p, [p])
+    rs = LAST_BLOCK[case](size, q)
+    wanted = [*range(-3, 40), *(base + r for r in rs), 2600, 3000]
+    got, _, runs = run_recording_schedule(monkeypatch, f, p, wanted)
+    assert got == reference_half_power_coeffs(f, p, wanted)
+    assert got[2600] == got[3000] == 0  # above deg f^e
+    assert runs[:2] == [list(range(-(-(p - 1) // size)))] * 2  # the pins read every H_k
+    chunks = sorted({(r - 1) // size for r in rs if r})
+    assert runs[2:] == ([chunks] if chunks else [])
+    if case == "short last chunk":
+        assert 502 % size and chunks == [501 // size]
+    if case == "first group":
+        assert len(chunks) > 1 and chunks[-1] < q
+
+
+def test_half_power_coeffs_chunks_need_not_fill_the_last_group(monkeypatch):
+    p = 1009
+    f = random_stride_poly(random.Random(6), p, 5, 1, 0)
+    wanted = range(-3, 2530)  # every index, each block in full
+    got, (size, q, groups), runs = run_recording_schedule(monkeypatch, f, p, wanted)
+    chunks = -(-(p - 1) // size)
+    assert chunks % q and groups == -(-chunks // q)
+    assert runs == [list(range(chunks))] * 2 + [list(range(-(-502 // size)))]
+    assert got == reference_half_power_coeffs(f, p, wanted)
+
+
+@pytest.mark.parametrize("p, deg_g", [(7, 3), (53, 200)])
+def test_half_power_coeffs_single_group(monkeypatch, p, deg_g):
+    # a group of about sqrt(chunks) chunks is the whole block only at one
+    # chunk: 6 steps are too few to split, and _SLAB / 200^2 is 0
+    f = random_stride_poly(random.Random(p), p, deg_g, 1, 0)
+    wanted = range(-3, (p - 1) // 2 * deg_g + 2)
+    got, (size, q, groups), _ = run_recording_schedule(monkeypatch, f, p, wanted)
+    assert groups == 1
+    assert got == reference_half_power_coeffs(f, p, wanted)
 
 
 def test_half_power_coeffs_memory_is_history_plus_slabs():
