@@ -21,13 +21,16 @@ factor_degree_profile raises x to the p-th power once and gets every later
 x^(p^k) by composition.
 
 half_power_coeffs keeps every coefficient up to the highest one asked for,
-in int32, and computes each block of p - 1 of them as about sqrt(8p) chunks
-of sqrt(p/8) steps side by side. The chunks' transfer matrices come from the
-first block, once; multiplied up in groups of about (8p)^(1/4), they give
-every chunk's start state in about (8p)^(1/4) numpy steps, so a block takes
-about sqrt(p/8) + (8p)^(1/4) of them. The last block, which no pin reads,
-runs only the chunks that hold a coefficient asked for. This holds for p <= 2^31
-and deg G (p - 1)^2 < 2^63 (the int32 history, one int64 sum per step);
+in int32, and splits each block of p - 1 of them into about sqrt(8p) chunks
+of sqrt(p/8) steps. Once per call, pass 1 runs the chunks of the first block
+side by side from unit start states: that keeps each step's row, its
+coefficient as a linear form in its chunk's start state (deg G int32 entries
+a step), and gives the chunks' transfer matrices. Multiplied up in groups of
+about (8p)^(1/4), those give every chunk's start state in about (8p)^(1/4)
+numpy steps (pass 2), and a block is then one batched product of rows and
+start states. The last block, which no pin reads, reads only the chunks that
+hold a coefficient asked for. This holds for p <= 2^31 and
+deg G (p - 1)^2 < 2^63 (the int32 history, one int64 sum per step);
 factorize loops up to sqrt(n). Their callers bound those; the pure residue
 arithmetic here takes arbitrary-precision input.
 
@@ -170,10 +173,12 @@ def half_power_coeffs(f, p, wanted):
     H_{k-i} by ((e+1) i G_i / r - G_i) / G_0, which depends on r alone, so
     `_recur` runs each block of up to p - 1 steps as a linear recurrence of
     order deg G, in chunks side by side. H up to the highest index asked for
-    is an int32 array, and so is the table of inverses mod p of 1, 2, ... up
-    to that index; no other array holds more than twice `_SLAB` int64
-    entries, or 2 deg G^2 of them when deg G^2 > `_SLAB`. A step sums deg G
-    products in int64: p > 2^31 or deg G (p - 1)^2 >= 2^63 raises DomainError.
+    is an int32 array, and so are the table of inverses mod p of 1, 2, ... up
+    to that index and `_recur`'s rows, deg G entries for each step of the
+    first block (rounded up to whole chunks); no other array holds more than
+    twice `_SLAB` int64 entries, or 2 deg G^2 of them when deg G^2 > `_SLAB`.
+    A step sums deg G products in int64: p > 2^31 or deg G (p - 1)^2 >= 2^63
+    raises DomainError.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
@@ -243,21 +248,22 @@ def _recur(h, base, steps, a, c, inv, p, plan=None, only=None):
     """Write H_{base+r} = sum_j (a_j / r - c_j) H_{base+r-d+j}, 1 <= r <= steps;
     given `only`, a list of the wanted r, write at least those.
 
-    The block runs as about sqrt(8 steps) chunks of `size` steps side by side
-    (the fastest count measured from p = 107 to 10^6). Pass 1 carries the
-    d unit start states through every chunk but the last, which gives each
-    chunk's d x d transfer matrix, and multiplies those up within groups of
-    q ~ sqrt(chunks) chunks. Pass 2 walks the groups' full products from the
-    block's start state to each group's, one mat-vec a group, and then takes
-    every chunk's start state in one batched product. Pass 3 reruns the
-    chunks from their true states and writes H. With `only`, passes 2 and 3
-    stop at the last chunk that holds a wanted r, and pass 3 runs only the
-    chunks that hold one. Pass 1 costs d^2 multiply-adds per step against d
-    for pass 3, so a block has at most max(1, `_SLAB` / d^2) chunks; with
-    one, passes 1 and 2 are trivial. Step r's factors depend on r alone, so
-    pass 1 runs on the first block, the longest, and its plan (size, prefix
-    products) is returned for the later blocks: a shorter one keeps the size
-    and takes a prefix.
+    The block splits into about sqrt(8 steps) chunks of `size` steps (the
+    fastest count measured from p = 107 to 10^6). Step r's factors depend on
+    r alone, so pass 1 runs once per call, on the first block, the longest:
+    `_rows` carries the d unit start states through every chunk side by
+    side, which writes each step's row, H_{base+r} as a linear form in its
+    chunk's start window, and gives each chunk's d x d transfer matrix. It
+    multiplies those up within groups of q ~ sqrt(chunks) chunks, and the
+    plan (size, prefix products, rows) is returned for the later blocks: a
+    shorter one keeps the size and takes a prefix. Pass 2 walks the groups'
+    full products from the block's start state to each group's, one mat-vec
+    a group, and then takes every chunk's start state in one batched
+    product; `_product` writes each chunk's H as its rows times its start
+    state. With `only`, pass 2 stops at the last chunk that holds a wanted r,
+    and the product reads only the chunks that hold one. Pass 1 costs d^2
+    multiply-adds per step against d for the product, so a block has at
+    most max(1, `_SLAB` / d^2) chunks; with one, pass 2 is trivial.
     """
     import numpy as np
     d = a.size
@@ -267,19 +273,19 @@ def _recur(h, base, steps, a, c, inv, p, plan=None, only=None):
         q = isqrt(chunks)
         if 2 * size + 2 * q >= steps:  # no fewer steps than one chunk takes
             size, chunks, q = steps, 1, 1
+        rows, ends = _rows(chunks, size, steps, a, c, inv, p)
         groups, eye = -(-chunks // q), np.eye(d, dtype=np.int64)
         moves = np.tile(eye, (groups * q, 1, 1))  # chunk i's start to i + 1's
-        if chunks > 1:
-            moves[: chunks - 1] = _steps(np.arange(chunks - 1), size, eye[:, None], a, c, inv, p)
+        moves[: chunks - 1] = ends[:-1]
         moves = moves.reshape(groups, q, d, d)
         pre = np.empty((groups, q + 1, d, d), dtype=np.int64)  # chunk gq's start to gq + j's
         pre[:, 0] = eye
         for j in range(min(q, chunks - 1)):  # one chunk reads pre[0, 0] alone
             pre[:, j + 1] = moves[:, j] @ pre[:, j] % p
-        plan = size, pre
-    size, pre = plan
+        plan = size, pre, rows
+    size, pre, rows = plan
     q = pre.shape[1] - 1
-    want = (np.arange(-(-steps // size)) if only is None  # the chunks to run
+    want = (np.arange(-(-steps // size)) if only is None  # the chunks to read
             else np.flatnonzero(np.bincount([(r - 1) // size for r in only])))
     if not want.size:
         return plan
@@ -288,47 +294,69 @@ def _recur(h, base, steps, a, c, inv, p, plan=None, only=None):
     start[0, d - (base + 1 - lo) :, 0] = h[lo : base + 1]
     for g in range(start.shape[0] - 1):
         start[g + 1] = pre[g, q] @ start[g] % p
-    state = (pre[want // q, want % q] @ start[want // q] % p).swapaxes(0, 1)
-    _steps(want, size, state, a, c, inv, p, h[base + 1 : base + 1 + steps])
+    state = pre[want // q, want % q] @ start[want // q] % p
+    _product(rows, want, state, p, h[base + 1 : base + 1 + steps])
     return plan
 
 
-def _steps(chunk, size, state, a, c, inv, p, out=None):
-    """Run `size` steps from r = 1 + i size for each i in `chunk` (ascending)
-    side by side, from the windows state[:, n] (d x S, row j holding
-    H_{k-d+j}; state[:, 0] for every chunk when state has one), and return
-    the final windows chunk by chunk, chunks x d x S. Given `out`, the
-    block's H_{base+1}, ..., write the first column's new values to it; r
-    stops at len(out), and a short last chunk's values past it are dropped."""
+def _rows(chunks, size, steps, a, c, inv, p):
+    """Run the d unit start states through `size` steps from r = 1 + i size
+    for every chunk i < chunks side by side. Return the rows, chunks x size x
+    d int32, row t of chunk i holding step r = 1 + i size + t's new value as
+    a linear form in the chunk's start window (entry j holding H_{k-d+j}),
+    and each chunk's final window, chunks x d x d: its transfer matrix. A
+    step past `steps`, in a short last chunk, takes step `steps`' factors;
+    no block reads its row."""
     import numpy as np
-    first = 1 + size * chunk
-    chunks, d, width = first.size, state.shape[0], state.shape[2]
-    last = first[-1] + size - 1 if out is None else out.size
+    d = a.size
+    first = 1 + size * np.arange(chunks)
     span = max(1, _SLAB // (chunks * d))  # steps per slab of coefficients
-    buf = np.empty((d + span, chunks, width), dtype=np.int64)  # row k: H_k of every chunk
-    buf[:d] = state
+    buf = np.empty((d + span, chunks, d), dtype=np.int64)  # row k: H_k of every chunk
+    buf[:d] = np.eye(d, dtype=np.int64)[:, None]
     win = buf.swapaxes(0, 1)  # win[:, t : t + d]: each chunk's window at step t
-    if out is not None:
-        rows = out[: out.size // size * size].reshape(-1, size)
-        whole = np.searchsorted(chunk, rows.shape[0])  # chunks that end inside the block
+    rows = np.empty((chunks, size, d), dtype=np.int32)
+    quo = np.empty((chunks, 1, d), dtype=np.int64)
+    # one pair of coefficient slabs for every round: fresh ones map new
+    # pages each round, about 20 ms more at p = 10^6 in a new process
+    slab, div = np.empty((2, d, min(span, size), chunks), dtype=np.int64)
     for t0 in range(0, size, span):
         m = min(span, size - t0)
         r = np.arange(t0, t0 + m)[:, None] + first
-        cf = a[:, None, None] * inv[np.minimum(r, last, out=r)]
+        cf, q = slab[:, :m], div[:, :m]
+        np.multiply(a[:, None, None], inv[np.minimum(r, steps, out=r)], out=cf)
         cf -= c[:, None, None]
-        cf %= p
+        np.floor_divide(cf, p, out=q)
+        q *= p
+        cf -= q
         cf = cf.transpose(1, 2, 0)[:, :, None]  # step t: (chunks, 1, d)
         for t in range(m):
             new = win[:, d + t, None]
             np.matmul(cf[t], win[:, t : t + d], out=new)
-            np.remainder(new, p, out=new)
-        if out is not None:
-            rows[chunk[:whole], t0 : t0 + m] = buf[d : d + m, :whole, 0].T
-            if whole < chunks:
-                tail = out[rows.size + t0 : rows.size + t0 + m]
-                tail[:] = buf[d : d + tail.size, -1, 0]
+            np.floor_divide(new, p, out=quo)  # new - new // p * p: a floor division by
+            quo *= p  # a scalar runs as a multiply by its reciprocal, np.remainder
+            new -= quo  # as one hardware division per entry, about twice the time
+        rows[:, t0 : t0 + m] = win[:, d : d + m]
         buf[:d] = buf[m : m + d]
-    return win[:, :d]
+    return rows, win[:, :d]
+
+
+def _product(rows, chunk, state, p, out):
+    """Write rows[i, t] . state[n] mod p, the value of step r = 1 + i size + t
+    for i = chunk[n] (ascending), to out[r - 1], the block's H_{base+r}; r
+    stops at out.size. Each batched product reads at most `_SLAB` row
+    entries."""
+    import numpy as np
+    size, d = rows.shape[1:]
+    m = min(size, max(1, _SLAB // d))  # steps per slab
+    k = max(1, _SLAB // (m * d))  # chunks per slab
+    for i in range(0, chunk.size, k):
+        w = chunk[i : i + k]
+        for t0 in range(0, size, m):
+            x = np.matmul(rows[w, t0 : t0 + m], state[i : i + k])
+            x -= x // p * p
+            at = (w[:, None] * size + np.arange(t0, t0 + x.shape[1])).ravel()
+            n = np.searchsorted(at, out.size)
+            out[at[:n]] = x.ravel()[:n]
 
 
 def poly_divmod(f, g, p):

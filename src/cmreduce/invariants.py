@@ -298,6 +298,23 @@ def _weil_range(p, a):
     return floor(2 * p * a1 - high), ceil(2 * p * a1 - low)
 
 
+def _divisor(points, p):
+    """The reduced pair (u, v) of P_1 + ... + P_n - n oo for points (x_i, y_i)
+    with distinct x_i and n <= g: u = (x - x_1) ... (x - x_n), and v the
+    interpolant of degree < n through them, built in Newton's form."""
+    u, v = [1], [0]
+    for x, y in points:  # v += (y - v(x)) / u(x) u, then u *= x - x_i
+        ux = vx = 0
+        for c in reversed(u):
+            ux = (ux * x + c) % p
+        for c in reversed(v):
+            vx = (vx * x + c) % p
+        k = (y - vx) * pow(ux, -1, p) % p
+        v = [(b + k * c) % p for b, c in zip(v + [0] * (len(u) - len(v)), u)]
+        u = [(b - x * c) % p for b, c in zip([0] + u, u + [0])]
+    return u, poly_trim(v)
+
+
 def _order_lift(curve, a):
     """a_g of a genus-2 or genus-3 curve whose L(T) starts with a = [1, a_1,
     ..., a_{g-1}], from Manin's congruence and the order of J(F_p), or None
@@ -308,10 +325,10 @@ def _order_lift(curve, a):
     4 sqrt(p) + 2 at genus 3), each giving an order L(1) of J(F_p). The odd
     model takes the least F_p-root r of an even-degree f to infinity,
     t^(2g+2) f(r + 1/t), which leaves L unchanged. Each divisor P_1 + ... +
-    P_g, from points in a seeded order, keeps the lifts whose order kills
-    it: no survivor is an inconsistency, one is a_g, and a tie after
-    _DIVISORS divisors (or an even-degree f with no root, or too few
-    points) gives None.
+    P_g, from points of distinct x in a seeded order and built whole by
+    `_divisor`, keeps the lifts whose order kills it: no survivor is an
+    inconsistency, one is a_g, and a tie after _DIVISORS divisors (or an
+    even-degree f with no root, or too few points) gives None.
     """
     import numpy as np
     p, f, g = curve.p, list(curve.coeffs), curve.genus
@@ -335,16 +352,14 @@ def _order_lift(curve, a):
     for x in random.Random(f"points:{p}:{f}").sample(range(p), min(p, _POINT_DRAWS)):
         y2 = sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
         if y2 and pow(y2, (p - 1) // 2, p) == 1:
-            points.append(([-x % p, 1], [sqrt_mod(y2, p)]))
+            points.append((x, sqrt_mod(y2, p)))
             if len(points) == g * _DIVISORS:
                 break
     # L(1) = q p + r for the first lift, and each next lift adds p
     q, r = divmod(sum(a) + first + sum(p**i * a[g - i] for i in range(1, g + 1)), p)
     alive = set(lifts)
     for i in range(0, len(points) - g + 1, g):
-        div = points[i]
-        for point in points[i + 1 : i + g]:
-            div = jacobian_add(div, point, f, p)
+        div = _divisor(points[i : i + g], p)
         step = jacobian_mul([(p, div)], f, p)
         acc = jacobian_mul([(q, step), (r, div)], f, p)
         for j, lift in enumerate(lifts):

@@ -317,26 +317,31 @@ def test_half_power_coeffs_matches_reference_on_random_strides():
 
 
 def run_recording_schedule(monkeypatch, f, p, wanted):
-    """half_power_coeffs(f, p, wanted), its plan as (size, q, groups), and
-    the chunks that pass 3 ran in each block that ran it."""
-    runs, plans = [], []
-    steps, recur = ff_arith._steps, ff_arith._recur
+    """half_power_coeffs(f, p, wanted), its plan as (size, q, groups), how
+    many times pass 1 ran, and the chunks that each block's product read."""
+    reads, plans, passes = [], [], []
+    rows, product, recur = ff_arith._rows, ff_arith._product, ff_arith._recur
 
-    def recording_steps(chunk, size, state, a, c, inv, p, out=None):
-        if out is not None:
-            runs.append(chunk.tolist())
-        return steps(chunk, size, state, a, c, inv, p, out)
+    def recording_rows(*args):
+        passes.append(args)
+        return rows(*args)
+
+    def recording_product(rows, chunk, state, p, out):
+        reads.append(chunk.tolist())
+        return product(rows, chunk, state, p, out)
 
     def recording_recur(*args):
         plans.append(recur(*args))
         return plans[-1]
 
-    monkeypatch.setattr(ff_arith, "_steps", recording_steps)
+    monkeypatch.setattr(ff_arith, "_rows", recording_rows)
+    monkeypatch.setattr(ff_arith, "_product", recording_product)
     monkeypatch.setattr(ff_arith, "_recur", recording_recur)
     got = half_power_coeffs(f, p, wanted)
     monkeypatch.undo()
-    size, pre = plans[0]
-    return got, (size, pre.shape[1] - 1, pre.shape[0]), runs
+    size, pre, _ = plans[0]
+    assert len(passes) == 1  # pass 1 runs once per call, on the first block
+    return got, (size, pre.shape[1] - 1, pre.shape[0]), reads
 
 
 # p = 1009, deg G = 5: e deg G = 2520, so the last block starts at k = 2018 and
@@ -358,12 +363,12 @@ def test_half_power_coeffs_runs_the_last_block_on_its_wanted_chunks(monkeypatch,
     _, (size, q, _), _ = run_recording_schedule(monkeypatch, f, p, [p])
     rs = LAST_BLOCK[case](size, q)
     wanted = [*range(-3, 40), *(base + r for r in rs), 2600, 3000]
-    got, _, runs = run_recording_schedule(monkeypatch, f, p, wanted)
+    got, _, reads = run_recording_schedule(monkeypatch, f, p, wanted)
     assert got == reference_half_power_coeffs(f, p, wanted)
     assert got[2600] == got[3000] == 0  # above deg f^e
-    assert runs[:2] == [list(range(-(-(p - 1) // size)))] * 2  # the pins read every H_k
+    assert reads[:2] == [list(range(-(-(p - 1) // size)))] * 2  # the pins read every H_k
     chunks = sorted({(r - 1) // size for r in rs if r})
-    assert runs[2:] == ([chunks] if chunks else [])
+    assert reads[2:] == ([chunks] if chunks else [])
     if case == "short last chunk":
         assert 502 % size and chunks == [501 // size]
     if case == "first group":
@@ -374,10 +379,10 @@ def test_half_power_coeffs_chunks_need_not_fill_the_last_group(monkeypatch):
     p = 1009
     f = random_stride_poly(random.Random(6), p, 5, 1, 0)
     wanted = range(-3, 2530)  # every index, each block in full
-    got, (size, q, groups), runs = run_recording_schedule(monkeypatch, f, p, wanted)
+    got, (size, q, groups), reads = run_recording_schedule(monkeypatch, f, p, wanted)
     chunks = -(-(p - 1) // size)
     assert chunks % q and groups == -(-chunks // q)
-    assert runs == [list(range(chunks))] * 2 + [list(range(-(-502 // size)))]
+    assert reads == [list(range(chunks))] * 2 + [list(range(-(-502 // size)))]
     assert got == reference_half_power_coeffs(f, p, wanted)
 
 
@@ -387,26 +392,35 @@ def test_half_power_coeffs_single_group(monkeypatch, p, deg_g):
     # chunk: 6 steps are too few to split, and _SLAB / 200^2 is 0
     f = random_stride_poly(random.Random(p), p, deg_g, 1, 0)
     wanted = range(-3, (p - 1) // 2 * deg_g + 2)
-    got, (size, q, groups), _ = run_recording_schedule(monkeypatch, f, p, wanted)
-    assert groups == 1
+    got, (size, q, groups), reads = run_recording_schedule(monkeypatch, f, p, wanted)
+    assert groups == 1 and size == p - 1
+    assert reads == [[0]] * len(reads)
     assert got == reference_half_power_coeffs(f, p, wanted)
 
 
 def test_half_power_coeffs_memory_is_history_plus_slabs():
-    # weng-g3 at p = 1048573: H up to index (3p - 1 - e) / 2 (v = 1, s = 2),
-    # an inverse for each r < p, each int32; the recurrence's own arrays are
-    # slabs of bounded size, never one entry per step of a block
-    p, e = 1048573, 1048572 // 2
-    f = [0, 7, 0, 14, 0, 7, 0, 1]
-    wanted = [i * p - j for i in (1, 2, 3) for j in (1, 2, 3)]
-    history, table = (3 * p - 1 - e) // 2 + 1, p
-    tracemalloc.start()
-    try:
-        half_power_coeffs(f, p, wanted)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * (history + table) + (8 << 20)
+    # int32 H up to the highest index asked for, an int32 inverse for each r
+    # up to it, and pass 1's int32 rows: deg G entries a step of the first
+    # block, rounded up to whole chunks (fewer than sqrt(8 steps) steps of
+    # padding); every other array is a slab of at most 2 max(_SLAB, deg G^2)
+    # int64 entries, and no more than eight of them are alive at once
+    weng = [0, 7, 0, 14, 0, 7, 0, 1]  # weng-g3: v = 1, s = 2, G of degree 3
+    rng = random.Random(105)
+    dense = random_stride_poly(rng, 8009, 105, 1, 0)  # _SLAB / 105^2 < 3: one chunk
+    for f, p, deg_g, top in [(weng, 1048573, 3, (3 * 1048573 - 1 - 1048572 // 2) // 2),
+                             (dense, 8009, 105, 3 * 8009 - 1)]:
+        wanted = [i * p - j for i in (1, 2, 3) for j in (1, 2, 3)]
+        steps = min(p - 1, top)
+        history, table = top + 1, min(p, top + 1)
+        rows = deg_g * (steps + math.isqrt(8 * steps))
+        slabs = 8 * 2 * max(ff_arith._SLAB, deg_g**2)
+        tracemalloc.start()
+        try:
+            half_power_coeffs(f, p, wanted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (history + table + rows) + 8 * slabs, (p, peak)
 
 
 def test_poly_divmod_identity():

@@ -41,7 +41,7 @@ from cmreduce import (
     point_count,
     reduction_profile,
 )
-from cmreduce.ff_arith import is_prime, poly_divmod
+from cmreduce.ff_arith import is_prime, jacobian_add, poly_divmod, sqrt_mod
 
 WENG = [0, 7, 0, 14, 0, 7, 0, 1]  # x^7 + 7x^5 + 14x^3 + 7x
 CYCLO5 = [-1, 0, 0, 0, 0, 1]  # x^5 - 1
@@ -812,6 +812,27 @@ def test_genus3_order_check_reports_a_tie(monkeypatch):
         assert invariants._order_lift(curve, counted[:3]) is None
         assert len(calls) == 2 * divisors  # [p]D, then [L(1)]D for the first lift
         assert l_polynomial(curve) == counted
+
+
+@pytest.mark.parametrize("p", [11, 101, 1009])
+def test_order_check_divisor_matches_the_group_law(p):
+    # P_1 + ... + P_n built whole (u the product, v the interpolant) is the
+    # pair that adding the points one at a time by the group law gives
+    rng = random.Random(p)
+    for degree in (5, 7) * 10:
+        f = [rng.randrange(p) for _ in range(degree)] + [1]
+        points = []
+        for x in rng.sample(range(p), p):
+            y2 = sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
+            if y2 and pow(y2, (p - 1) // 2, p) == 1:
+                points.append((x, sqrt_mod(y2, p)))
+                if len(points) == degree // 2:
+                    break
+        for n in range(1, len(points) + 1):
+            div = ([1], [0])
+            for x, y in points[:n]:
+                div = jacobian_add(div, ([-x % p, 1], [y]), f, p)
+            assert invariants._divisor(points[:n], p) == div, (f, points[:n])
 
 
 def test_manin_polynomial_matches_principal_minors():
