@@ -3,8 +3,8 @@ end-to-end verification of predictions against computed invariants.
 
 The shipped catalog holds the CM curves and fields every other module is
 exercised against; members of the y^2 = x^l - 1 family are synthesized on
-demand for odd primes l. The catalog file is versioned JSON, checked key by
-key as it loads.
+demand for odd primes l. The catalog file is versioned JSON, its shape checked
+as it loads and each record on its first lookup (a user catalog's at load).
 """
 
 import json
@@ -86,75 +86,91 @@ class CMCurveRecord:
 
 
 def _family_ell(family, label):
-    """l of a label family-l, l in ASCII digits, or None. An l with (l - 1) / 2
-    above COUNT_CAP is refused from the length of its digits, before int()
-    reads them."""
+    """(family-l, l) for a label family-l, l in ASCII digits, else (label, None).
+    An l with (l - 1) / 2 above COUNT_CAP is refused from the length of its
+    digits, before int() reads them."""
     m = re.fullmatch(family + r"-([0-9]+)", label)
     if m is None:
-        return None
+        return label, None
     digits = m.group(1).lstrip("0") or "0"
     if len(digits) > len(str(2 * COUNT_CAP + 1)) or int(digits) > 2 * COUNT_CAP + 1:
         raise ResourceLimitError(f"cyclotomic family: l capped at {2 * COUNT_CAP + 1}")
-    return int(digits)
-
-
-def _check_cyclo(ell):
-    if ell < 3 or not is_prime(ell):
-        raise CatalogError(f"cyclotomic family needs an odd prime, got {ell}")
+    return f"{family}-{digits}", int(digits)
 
 
 def _cyclo_field(ell):
-    _check_cyclo(ell)
-    disc = (-1) ** ((ell - 1) // 2) * ell ** (ell - 2)
-    return CyclicCMField(
-        label=f"cyclotomic-{ell}",
-        two_g=ell - 1,
-        discriminant=disc,
-        defining_polys=[[1] * ell],
-        conductor=ell,
-    )
+    return {"label": f"cyclotomic-{ell}", "two_g": ell - 1,
+            "discriminant": (-1) ** ((ell - 1) // 2) * ell ** (ell - 2),
+            "defining_polys": [[1] * ell], "conductor": ell}
 
 
-def _cyclo_record(ell, field):
-    _check_cyclo(ell)  # a catalog file may define the field cyclotomic-ell itself
+def _cyclo_record(ell):
     # CM exponents: the discrete logs of 1..g to the least primitive root mod ell
     g, log = (ell - 1) // 2, unit_quotient_log(ell, {1}, ell - 1)
-    coeffs = tuple([-1] + [0] * (ell - 1) + [1])
-    return CMCurveRecord(
-        label=f"cyclo-{ell}",
-        genus=g,
-        f_coeffs=coeffs,
-        field=field,
-        provenance=f"cyclotomic family y^2 = x^l - 1, l = {ell}",
-        cm_type=CMType.from_exponents(g, {log[a] for a in range(1, g + 1)}),
-    )
+    return {"label": f"cyclo-{ell}", "genus": g, "f_coeffs": [-1] + [0] * (ell - 1) + [1],
+            "field_label": f"cyclotomic-{ell}",
+            "provenance": f"cyclotomic family y^2 = x^l - 1, l = {ell}",
+            "cm_type": [log[a] for a in range(1, g + 1)]}
 
 
 class Catalog:
-    def __init__(self, fields, curves):
-        self.fields = {f.label: f for f in fields}
-        self.curves = {c.label: c for c in curves}
-        self._synth = {}
+    """fields and curves map each listed label to its JSON entry, in file order.
+    field() and record() build a listed or family (cyclotomic-l, cyclo-l) entry
+    on its first lookup, with every check of its kind, and hand the same object
+    back after; a listed member answers to cyclo-05 as to cyclo-5."""
 
-    def _entry(self, label, listed, family, kind, synthesize):
-        ell = _family_ell(family, label)
-        if ell is not None:  # a listed member answers to cyclo-05 as to cyclo-5
-            label = f"{family}-{ell}"
-        if label in listed:
-            return listed[label]
-        if ell is None:
-            raise CatalogError(f"unknown {kind} label {label!r}")
-        key = (family, ell)  # so a label is never found as the other kind
-        if key not in self._synth:
-            self._synth[key] = synthesize(ell)
-        return self._synth[key]
+    def __init__(self, fields, curves):
+        self.fields = fields
+        self.curves = curves
+        self._built = {}
 
     def field(self, label):
-        return self._entry(label, self.fields, "cyclotomic", "field", _cyclo_field)
+        return self._build("field", *_family_ell("cyclotomic", label))
 
     def record(self, label):
-        return self._entry(label, self.curves, "cyclo", "curve",
-                           lambda ell: _cyclo_record(ell, self.field(f"cyclotomic-{ell}")))
+        return self._build("curve", *_family_ell("cyclo", label))
+
+    def _build(self, kind, label, ell=None):
+        """The one builder of each kind, for listed entries and family
+        member ell alike; a listed entry's errors name its index."""
+        key = (kind, label)  # so a label is never found as the other kind
+        if key in self._built:
+            return self._built[key]
+        listed = self.fields if kind == "field" else self.curves
+        if label in listed:
+            entry, where = listed[label], f"{kind}s[{list(listed).index(label)}]"
+        elif ell is None:
+            raise CatalogError(f"unknown {kind} label {label!r}")
+        elif ell < 3 or not is_prime(ell):
+            raise CatalogError(f"cyclotomic family needs an odd prime, got {ell}")
+        else:
+            entry, where = (_cyclo_field if kind == "field" else _cyclo_record)(ell), label
+        try:
+            if kind == "field":
+                built = CyclicCMField(
+                    label=entry["label"],
+                    two_g=entry["two_g"],
+                    discriminant=entry["discriminant"],
+                    defining_polys=entry["defining_polys"],
+                    conductor=entry.get("conductor"),
+                    h_generators=entry.get("H_generators"),
+                )
+            else:
+                exponents = entry.get("cm_type")
+                built = CMCurveRecord(
+                    label=entry["label"],
+                    genus=entry["genus"],
+                    f_coeffs=tuple(entry["f_coeffs"]),
+                    field=self._build("field", entry["field_label"], ell),
+                    provenance=entry["provenance"],
+                    # a CM type has one exponent per conjugate pair: g of them
+                    cm_type=None if exponents is None
+                    else CMType.from_exponents(len(exponents), exponents),
+                )
+        except DomainError as e:
+            raise CatalogError(f"{where}: {e}") from e
+        self._built[key] = built
+        return built
 
 
 def _require(cond, where, msg):
@@ -191,28 +207,36 @@ def _require_entry(raw, where, required, optional):
 def _check_field_polys(field, where):
     """Refuse a field whose defining polynomials split one of the first
     _FIELD_CHECK_PRIMES primes not dividing the conductor otherwise than its
-    conductor and subgroup do: both must describe one field. A prime where a
-    polynomial is not squarefree (an index divisor) is passed over, and a
-    field without a conductor has nothing to check against."""
+    conductor and subgroup do, or into a number of primes whose parity is not
+    the one its discriminant gives (Stickelberger): all three must describe one
+    field. A prime where a polynomial is not squarefree (an index divisor) is
+    passed over, and a field without a conductor has nothing to check against."""
     if field.conductor is None:
         return
     primes = (p for p in count(2) if is_prime(p) and field.conductor % p)
     for _, p in zip(range(_FIELD_CHECK_PRIMES), primes):
         try:
-            ok = split_by_factorization(field, p) == split_by_residue(field, p)
+            split = split_by_factorization(field, p)
+            ok = split == split_by_residue(field, p)
         except NotSquarefreeError:  # p divides the index of this polynomial's order
             continue
         except InternalInconsistencyError:  # unequal factor degrees
             ok = False
         _require(ok, where, f"the defining polynomials of {field.label} disagree with its"
                  f" conductor and subgroup at p = {p}")
+        # (D/p) = (-1)^(2g - m) for the m primes above an unramified p
+        _require(kronecker(field.discriminant, p) == (-1) ** (field.two_g - split.num_primes),
+                 where, f"the discriminant of {field.label} disagrees with its splitting"
+                 f" at p = {p}")
 
 
 def catalog_load(path=None):
     """Catalog from a JSON file; the packaged one when no path is given.
 
-    A user catalog's fields also pass `_check_field_polys`; a test checks
-    the packaged one, so that no command pays for it."""
+    Every entry's shape, label and field_label is checked here; a record is
+    built and checked on its first lookup. A user catalog is built whole here,
+    each field followed by `_check_field_polys`, so its errors come at load; a
+    test checks the packaged fields, so that no command pays for it."""
     try:
         if path is None:
             text = resources.files("cmreduce").joinpath("catalog.json").read_text()
@@ -231,7 +255,7 @@ def catalog_load(path=None):
     raw_curves = data.get("curves")
     _require(isinstance(raw_fields, list), "catalog", "fields must be a list")
     _require(isinstance(raw_curves, list), "catalog", "curves must be a list")
-    fields = []
+    fields = {}
     for i, rf in enumerate(raw_fields):
         where = f"fields[{i}]"
         _require_entry(rf, where, ("label", "two_g", "discriminant", "defining_polys"),
@@ -239,51 +263,26 @@ def catalog_load(path=None):
         # a lookup of cyclotomic-05 asks for cyclotomic-5, so this label is never found
         _require(not re.fullmatch(r"cyclotomic-0[0-9]+", rf["label"]), where,
                  f"label {rf['label']!r} has a leading zero")
-        try:
-            fields.append(
-                CyclicCMField(
-                    label=rf["label"],
-                    two_g=rf["two_g"],
-                    discriminant=rf["discriminant"],
-                    defining_polys=rf["defining_polys"],
-                    conductor=rf.get("conductor"),
-                    h_generators=rf.get("H_generators"),
-                )
-            )
-        except DomainError as e:
-            raise CatalogError(f"{where}: {e}") from e
-        if path is not None:
-            _check_field_polys(fields[-1], where)
-    by_label = {f.label: f for f in fields}
-    _require(len(by_label) == len(fields), "catalog", "duplicate field labels")
-    curves = []
+        fields[rf["label"]] = rf
+    _require(len(fields) == len(raw_fields), "catalog", "duplicate field labels")
+    curves = {}
     for i, rc in enumerate(raw_curves):
         where = f"curves[{i}]"
         _require_entry(rc, where, ("label", "genus", "f_coeffs", "field_label", "provenance"),
                        ("cm_type",))
         _require(not re.fullmatch(r"cyclo-0[0-9]+", rc["label"]), where,
                  f"label {rc['label']!r} has a leading zero")
-        _require(rc["field_label"] in by_label, where,
+        _require(rc["field_label"] in fields, where,
                  f"unknown field_label {rc['field_label']!r}")
-        exponents = rc.get("cm_type")
-        try:
-            curves.append(
-                CMCurveRecord(
-                    label=rc["label"],
-                    genus=rc["genus"],
-                    f_coeffs=tuple(rc["f_coeffs"]),
-                    field=by_label[rc["field_label"]],
-                    provenance=rc["provenance"],
-                    # a CM type has one exponent per conjugate pair: g of them
-                    cm_type=None if exponents is None
-                    else CMType.from_exponents(len(exponents), exponents),
-                )
-            )
-        except DomainError as e:
-            raise CatalogError(f"{where}: {e}") from e
-    labels = {c.label for c in curves}
-    _require(len(labels) == len(curves), "catalog", "duplicate curve labels")
-    return Catalog(fields, curves)
+        curves[rc["label"]] = rc
+    _require(len(curves) == len(raw_curves), "catalog", "duplicate curve labels")
+    catalog = Catalog(fields, curves)
+    if path is not None:
+        for i, label in enumerate(fields):
+            _check_field_polys(catalog._build("field", label), f"fields[{i}]")
+        for label in curves:
+            catalog._build("curve", label)
+    return catalog
 
 
 def reduce_curve(record, p):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import subprocess
 import sys
 import time
@@ -580,6 +581,65 @@ def test_catalog_model_change_verifies_alike(capsys, tmp_path):
     assert moved["result"]["bad_reduction"] == [2, 7, 29]
     assert moved["result"]["rows"] == [r for r in shipped["result"]["rows"] if r["p"] != 29]
     assert moved["result"]["mismatches"] == []
+
+
+def test_catalog_discriminant_of_another_field_exits_3(capsys, tmp_path):
+    # 21124 has the sign and the residue mod 4 of a quartic CM discriminant;
+    # the Kronecker search for an inert prime drew 1439, which splits in the
+    # field, and generate exited 6 ("fails its own target predicate")
+    data = json.loads(SHIPPED)
+    data["fields"][0]["discriminant"] = 21124
+    path = tmp_path / "disc.json"
+    path.write_text(json.dumps(data))
+    code, doc, _ = run_json(capsys, "generate", "--curve", "wamelen-c1", "--type",
+                            "ssing-non-sspec", "--bits", "10", "--catalog", str(path))
+    assert code == 3
+    assert doc["error"] == {"type": "CatalogError", "message": "fields[0]: the discriminant"
+                            " of quartic-5-65-845 disagrees with its splitting at p = 3"}
+
+
+def integer_sites(node, path=()):
+    """The key paths of every integer in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [site for key, v in items for site in integer_sites(v, path + (key,))]
+    return [path] if type(node) is int else []
+
+
+MUTATIONS = (lambda x: x + 1, lambda x: x - 1, lambda x: -x, lambda x: 0, lambda x: 2 * x)
+COMMAND_SECONDS = 2  # wall time allowed to one command on a mutated catalog
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_one_mutated_catalog_integer_exits_cleanly(capsys, tmp_path, seed):
+    # exit 6 or a traceback here is a bug to fix in the program, not a case to skip
+    shipped = json.loads(SHIPPED)
+    sites = integer_sites(shipped)
+    fields = [f["label"] for f in shipped["fields"]]
+    curves = [c["label"] for c in shipped["curves"]]
+    primes = [p for p in range(3, 1500) if is_prime(p)]
+    types = ("ordinary", "superspecial", "supersingular", "ssing-non-sspec")
+    path = tmp_path / "mutated.json"
+    rng = random.Random(seed)
+    for _ in range(30):
+        data = json.loads(SHIPPED)
+        *head, last = rng.choice(sites)
+        node = data
+        for key in head:
+            node = node[key]
+        node[last] = rng.choice(MUTATIONS)(node[last])
+        path.write_text(json.dumps(data))
+        p, curve = str(rng.choice(primes)), rng.choice(curves)
+        for argv in (["split", "--field", rng.choice(fields), "--p", p],
+                     ["invariants", "--curve", curve, "--p", p],
+                     ["verify", "--curve", curve, "--p", p],
+                     ["generate", "--curve", curve, "--type", rng.choice(types),
+                      "--bits", str(rng.randint(8, 32))]):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, *argv, "--catalog", str(path), "--json")
+            assert time.perf_counter() - start < COMMAND_SECONDS, (head, last, argv)
+            assert code in (0, 2, 3, 4, 5), (head, last, argv)
+            assert json.loads(out)["command"] == argv[0]
 
 
 def write_user_cyclotomic_catalog(tmp_path):

@@ -32,6 +32,7 @@ from cmreduce import (
     sweep,
     verify,
 )
+from cmreduce.cli import main
 from cmreduce.ff_arith import is_prime, kronecker, poly_trim
 from cmreduce.splitting import CyclicCMField
 
@@ -142,9 +143,9 @@ def test_family_member_is_synthesized_once_per_ell():
 
 def test_family_labels_find_the_listed_member(catalog):
     # the shipped catalog lists cyclo-5 and cyclotomic-5: other spellings of
-    # their labels find them, not a synthesized twin
-    assert catalog.record("cyclo-05") is catalog.curves["cyclo-5"]
-    assert catalog.field("cyclotomic-005") is catalog.fields["cyclotomic-5"]
+    # their labels find the same record, not a second one
+    assert catalog.record("cyclo-05") is catalog.record("cyclo-5")
+    assert catalog.field("cyclotomic-005") is catalog.field("cyclotomic-5")
 
 
 @pytest.mark.parametrize("kind, label", [("fields", "cyclotomic-05"), ("curves", "cyclo-005")])
@@ -190,6 +191,66 @@ def test_catalog_load_rejects_malformed(tmp_path, catalog):
             load_variant(tmp_path, lambda d: d["curves"][0].update(cm_type=bad_type))
     # the unmutated file still loads
     assert list(load_variant(tmp_path, lambda d: None).curves) == list(catalog.curves)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The labels of the fields and curves built, and the squarefree proofs run."""
+    seen = {"fields": [], "curves": [], "proofs": 0}
+
+    def counted(cls, key):
+        def build(**kw):
+            seen[key].append(kw["label"])
+            return cls(**kw)
+        return build
+
+    def proof(coeffs, real=generator._rational_squarefree):
+        seen["proofs"] += 1
+        return real(coeffs)
+
+    monkeypatch.setattr(generator, "CyclicCMField", counted(CyclicCMField, "fields"))
+    monkeypatch.setattr(generator, "CMCurveRecord", counted(CMCurveRecord, "curves"))
+    monkeypatch.setattr(generator, "_rational_squarefree", proof)
+    return seen
+
+
+def test_catalog_load_builds_nothing(builds):
+    catalog_load()
+    assert builds == {"fields": [], "curves": [], "proofs": 0}
+
+
+@pytest.mark.parametrize("argv, fields, curves", [
+    (["verify", "--curve", "weng-g3", "--p", "101"], ["sextic-5-2"], ["weng-g3"]),
+    (["verify", "--curve", "cyclo-7", "--p", "29"], ["cyclotomic-7"], ["cyclo-7"]),
+    (["split", "--field", "sextic-5-2", "--p", "101"], ["sextic-5-2"], []),
+])
+def test_a_command_builds_only_what_it_reads(builds, capsys, argv, fields, curves):
+    assert main(argv + ["--json"]) == 0
+    assert builds == {"fields": fields, "curves": curves, "proofs": len(curves)}
+
+
+def test_a_user_catalog_builds_each_entry_once_at_load(builds):
+    user = catalog_load(resources.files("cmreduce") / "catalog.json")
+    at_load = {"fields": list(user.fields), "curves": list(user.curves),
+               "proofs": len(user.curves)}
+    assert builds == at_load
+    for label in user.fields:
+        user.field(label)
+    for label in user.curves:
+        user.record(label)
+    assert builds == at_load
+
+
+def test_lazy_and_eager_catalogs_build_equal_records(catalog):
+    # the packaged catalog builds on lookup, the same file as a user catalog at load
+    user = catalog_load(resources.files("cmreduce") / "catalog.json")
+    family = [3, 7, 11, 13]
+    for label in [*catalog.fields, *(f"cyclotomic-{ell}" for ell in family)]:
+        assert vars(user.field(label)) == vars(catalog.field(label))
+    for label in [*catalog.curves, *(f"cyclo-{ell}" for ell in family)]:
+        rec, want = dict(vars(user.record(label))), dict(vars(catalog.record(label)))
+        assert vars(rec.pop("field")) == vars(want.pop("field"))
+        assert rec == want
 
 
 def test_shipped_fields_pass_the_polynomial_check(catalog, monkeypatch):
