@@ -477,17 +477,16 @@ def sqrt_mod(a, p):
 def jacobian_add(d1, d2, f, p):
     """The reduced sum of two divisor classes.
 
-    D + 0 = D, D + (-D) = 0, and two points with x1 != x2 sum to the chord:
-    u = (x - x1)(x - x2) and v the line through them. At genus 2 (deg f =
-    5), two coprime monic quadratics u1, u2, or a doubling with 2v
-    invertible mod u, run Cantor's composition and its one reduction step on
-    plain ints: k is linear, the inverse of a linear residue mod a monic
-    quadratic comes from their resultant, v = v1 + u1 k, u' is the monic
-    quotient (f - v^2) / (u1 u2), read off its top three coefficients, and
-    v' = -v mod u'. That gives the pair `_cantor` gives. A zero resultant,
-    or k without an x term, runs `_cantor`. At genus 3 (deg f = 7), the
-    same pairs of cubics run `_sum3`. Every other pair runs `_cantor`, the
-    group law at every genus.
+    D + 0 = D and D + (-D) = 0. At genus 2 (deg f = 5), two coprime monic
+    quadratics u1, u2, or a doubling with 2v invertible mod u, run Cantor's
+    composition and its one reduction step on plain ints: k is linear, the
+    inverse of a linear residue mod a monic quadratic comes from their
+    resultant, v = v1 + u1 k, u' is the monic quotient (f - v^2) / (u1 u2),
+    read off its top three coefficients, and v' = -v mod u'. That gives the
+    pair `_cantor` gives. A zero resultant, or k without an x term, runs
+    `_cantor`. At genus 3 (deg f = 7), the same pairs of cubics run `_sum3`.
+    Every other pair, two points among them, runs `_cantor`, the group law
+    at every genus.
     """
     (u1, v1), (u2, v2) = d1, d2
     if u2 == [1]:
@@ -496,9 +495,6 @@ def jacobian_add(d1, d2, f, p):
         return u2, v2
     if u1 == u2 and v2 == [-c % p for c in v1]:
         return [1], [0]
-    if len(u1) == len(u2) == 2 and u1 != u2 and len(f) > 5:  # x1 = -u1[0]
-        k = (v2[0] - v1[0]) * pow(u1[0] - u2[0], -1, p) % p
-        return [u1[0] * u2[0] % p, (u1[0] + u2[0]) % p, 1], poly_trim([(v1[0] + k * u1[0]) % p, k])
     if len(f) == 6 and len(u1) == len(u2) == 3:
         (a0, a1, _), (b0, b1, _) = u1, u2
         y0, y1 = v1[0], v1[1] if len(v1) > 1 else 0

@@ -210,20 +210,31 @@ def _check_field_polys(field, where):
     conductor and subgroup do, or into a number of primes whose parity is not
     the one its discriminant gives (Stickelberger): all three must describe one
     field. A prime where a polynomial is not squarefree (an index divisor) is
-    passed over, and a field without a conductor has nothing to check against."""
+    passed over. A field without a conductor must have polynomials squarefree
+    over Q, and at the first _FIELD_CHECK_PRIMES primes where each is
+    squarefree, so unramified, each must split into factors of one degree
+    (it cuts out a Galois field) and their splitting must match the
+    discriminant."""
     if field.conductor is None:
-        return
-    primes = (p for p in count(2) if is_prime(p) and field.conductor % p)
+        polys = [list(q) for q in field.defining_polys]
+        for q in polys:
+            _require(_rational_squarefree(q), where,
+                     f"defining polynomial {q} of {field.label} is not squarefree")
+        primes = (p for p in count(2) if is_prime(p)
+                  and all(poly_gcd(q, poly_deriv(q, p), p) == [1] for q in polys))
+    else:
+        primes = (p for p in count(2) if is_prime(p) and field.conductor % p)
     for _, p in zip(range(_FIELD_CHECK_PRIMES), primes):
         try:
             split = split_by_factorization(field, p)
-            ok = split == split_by_residue(field, p)
+            ok = field.conductor is None or split == split_by_residue(field, p)
         except NotSquarefreeError:  # p divides the index of this polynomial's order
             continue
         except InternalInconsistencyError:  # unequal factor degrees
             ok = False
-        _require(ok, where, f"the defining polynomials of {field.label} disagree with its"
-                 f" conductor and subgroup at p = {p}")
+        _require(ok, where, f"the defining polynomials of {field.label} " + (
+            "disagree with its conductor and subgroup" if field.conductor
+            else "cut out no Galois field") + f" at p = {p}")
         # (D/p) = (-1)^(2g - m) for the m primes above an unramified p
         _require(kronecker(field.discriminant, p) == (-1) ** (field.two_g - split.num_primes),
                  where, f"the discriminant of {field.label} disagrees with its splitting"

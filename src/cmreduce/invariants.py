@@ -40,12 +40,11 @@ from .ff_arith import (
 )
 
 # largest p^k * max(k, 2)^2 counted. A count fills a p^k-byte table from
-# p^k / 2 values of x^2, then evaluates f at about p^k / k elements, k (deg f
-# + 1) float64 multiply-adds each. Each coset y + F_p pays up to k - 1
-# Frobenius steps of (k-1)^2, each evaluated one deg f - 1 products of k^2
-# in F_{p^k}, so at small p the cost grows as k^2 per element. Every field
-# of up to 2^26 elements passes at k <= 2, and as 17 * 2^24 exceeds
-# 3^13 * 13^2, every k <= g with p^g <= SLOPE_BUDGET passes
+# p^k / 2 values of x^2, then evaluates f at all p^k elements, k (deg f + 1)
+# float64 multiply-adds each, and each coset y + F_p of p elements first pays
+# deg f - 1 products of k^3 in F_{p^k}, so at small p the cost grows as k^2
+# per element. Every field of up to 2^26 elements passes at k <= 2, and as
+# 17 * 2^24 exceeds 3^13 * 13^2, every k <= g with p^g <= SLOPE_BUDGET passes
 POINT_COUNT_BUDGET = 17 << 24
 SLOPE_BUDGET = 1 << 21  # largest p^g for which slopes are computed
 CARTIER_BUDGET = 1 << 26  # largest deg f * (p-1)/2 + 1 for Cartier-Manin
@@ -162,13 +161,11 @@ def point_count(curve, k=1):
     values of h are one float64 product (p x (deg h + 1)) @ ((deg h + 1) x
     k n), exact while (deg h + 1)(p - 1)^2 < 2^53 (a count past that is
     refused). At k = 1 the one coset is y = 0 and the values are h_0(a),
-    with no product, in chunks of a. As f has F_p coefficients, f(x^p) =
-    f(x)^p, and Frobenius permutes the cosets, acting on y by its matrix
-    with the constant row and column removed; f is evaluated on the coset
-    whose code is the least of its images, weighted by its orbit size.
-    Whether f(x) is zero or a square is read from a table of the number of
-    square roots of each element of F_{p^k}, built by the same kernel from
-    h = x^2 over every coset and a <= (p - 1)/2.
+    with no product, in chunks of a. Whether f(x) is zero or a square is
+    read from a table of the number of square roots of each element of
+    F_{p^k}, built by the same kernel from h = x^2 over every coset and
+    a <= (p - 1)/2, and the count sums that table over the values of f on
+    every coset.
     """
     import numpy as np
     p, coeffs = curve.p, curve.coeffs
@@ -189,66 +186,43 @@ def point_count(curve, k=1):
         return np.array(c + [0] * (k - len(c)))
 
     mul = np.array([zpow(i + j) for i in range(k) for j in range(k)], dtype=float).T
-    # Frobenius on the cosets: column j - 1 is z^(jp) without its constant term
-    frob = np.array([zpow(j * p)[1:] for j in range(1, k)], dtype=float).T
 
     def encode(d):  # base-p code of the digit rows of d
         return sum(row * p**i for i, row in enumerate(d))
 
-    def digits(ns):  # the digits of coset codes, at z, ..., z^(k-1)
-        return ns // p ** np.arange(k - 1)[:, None] % p
-
-    cosets, block = p ** (k - 1), _CHUNK // k
-    image = np.empty(cosets, dtype=np.int64)  # the code of each coset's image
-    for c in range(0, cosets, block):
-        r = (frob @ digits(np.arange(c, min(c + block, cosets)))).astype(np.int64)
-        image[c : c + block] = encode(r - r // p * p)
-
-    def values(h, top, orbits):
+    def values(h, top):
         # yields the codes of h(a + y), an (a, n) array for 0 <= a < top and
-        # n coset representatives y, with their orbit sizes; n keeps the
-        # a x k n product, the (deg h + 1) x k n powers and each k^2 x n
-        # outer product in _ext_mul within _CHUNK entries
+        # n cosets y; n keeps the a x k n product, the (deg h + 1) x k n
+        # powers and each k^2 x n outer product in _ext_mul within _CHUNK
+        # entries
         n_h = len(h) if k > 1 else 1
         span = top if k > 1 else _CHUNK
-        n = max(1, _CHUNK // (k * max(span, n_h, k)))
+        n, cosets = max(1, _CHUNK // (k * max(span, n_h, k))), p ** (k - 1)
         for a0 in range(0, top, span):
             hasse = _hasse(h, np.arange(a0, min(a0 + span, top)), n_h, p)
             hasse = hasse if k == 1 else hasse.astype(float)
-            for c0 in range(0, cosets, block):
-                ns = c = np.arange(c0, min(c0 + block, cosets))
-                # a coset is kept when none of its images is smaller; k / (the
-                # number of powers of Frobenius fixing it) is its orbit size
-                fixed = np.ones(ns.size, dtype=np.int64)
-                for _ in range(k - 1 if orbits else 0):
-                    c = image[c]
-                    fixed += c == ns
-                    keep = ns <= c
-                    ns, c, fixed = ns[keep], c[keep], fixed[keep]
-                d, weight = digits(ns), k // fixed
-                for s in range(0, weight.size, n):
-                    y = np.zeros((k, min(n, weight.size - s)))  # no constant term
-                    y[1:] = d[:, s : s + n]
-                    powers = np.zeros((n_h, k, y.shape[1]))
-                    powers[0, 0] = 1
-                    for j in range(1, n_h):  # y^1 = y needs no product
-                        powers[j] = acc = y if j == 1 else _ext_mul(acc, y, mul, p)
-                    if k == 1:
-                        v = hasse[:, :, None]
-                    else:
-                        v = (hasse @ powers.reshape(n_h, -1)).astype(np.int64)
-                        v -= v // p * p
-                        v = v.reshape(len(hasse), k, -1)
-                    yield encode(v.transpose(1, 0, 2)), weight[s : s + n]
+            for c0 in range(0, cosets, n):
+                ns = np.arange(c0, min(c0 + n, cosets))  # coset codes
+                y = np.zeros((k, ns.size))  # no constant term; digits at z, ..., z^(k-1)
+                y[1:] = ns // p ** np.arange(k - 1)[:, None] % p
+                powers = np.zeros((n_h, k, ns.size))
+                powers[0, 0] = 1
+                for j in range(1, n_h):  # y^1 = y needs no product
+                    powers[j] = acc = y if j == 1 else _ext_mul(acc, y, mul, p)
+                if k == 1:
+                    v = hasse[:, :, None]
+                else:
+                    v = (hasse @ powers.reshape(n_h, -1)).astype(np.int64)
+                    v -= v // p * p
+                    v = v.reshape(len(hasse), k, -1)
+                yield encode(v.transpose(1, 0, 2))
 
     # roots[x] = the number of square roots of x in F_{p^k}
     roots = np.zeros(q, dtype=np.uint8)
-    for c, _ in values([0, 0, 1], (p + 1) // 2, False):
+    for c in values([0, 0, 1], (p + 1) // 2):
         roots[c] = 2
     roots[0] = 1
-    total = 0
-    for c, w in values(coeffs, p, True):
-        total += int(roots[c].sum(axis=0, dtype=np.int64) @ w)
+    total = sum(int(roots[c].sum(dtype=np.int64)) for c in values(coeffs, p))
     if curve.degree % 2:
         return total + 1
     return total + (2 if roots[coeffs[-1]] else 0)

@@ -608,38 +608,98 @@ def integer_sites(node, path=()):
 
 MUTATIONS = (lambda x: x + 1, lambda x: x - 1, lambda x: -x, lambda x: 0, lambda x: 2 * x)
 COMMAND_SECONDS = 2  # wall time allowed to one command on a mutated catalog
+REMOVALS = (("conductor", "H_generators"), ("H_generators",), ("cm_type",))
+
+
+def mutate_integer(rng, data):
+    """Apply a seeded mutation to a seeded integer of data; its key path."""
+    *head, last = rng.choice(integer_sites(data))
+    node = data
+    for key in head:
+        node = node[key]
+    node[last] = rng.choice(MUTATIONS)(node[last])
+    return head + [last]
+
+
+def commands_exit_cleanly(capsys, rng, data, path, note):
+    # exit 6 or a traceback here is a bug to fix in the program, not a case to skip
+    path.write_text(json.dumps(data))
+    fields = [f["label"] for f in data["fields"]]
+    curves = [c["label"] for c in data["curves"]]
+    primes = [p for p in range(3, 1500) if is_prime(p)]
+    types = ("ordinary", "superspecial", "supersingular", "ssing-non-sspec")
+    p, curve = str(rng.choice(primes)), rng.choice(curves)
+    for argv in (["split", "--field", rng.choice(fields), "--p", p],
+                 ["invariants", "--curve", curve, "--p", p],
+                 ["verify", "--curve", curve, "--p", p],
+                 ["generate", "--curve", curve, "--type", rng.choice(types),
+                  "--bits", str(rng.randint(8, 32))]):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--catalog", str(path), "--json")
+        assert time.perf_counter() - start < COMMAND_SECONDS, (note, argv)
+        assert code in (0, 2, 3, 4, 5), (note, argv)
+        assert json.loads(out)["command"] == argv[0]  # one envelope
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_one_mutated_catalog_integer_exits_cleanly(capsys, tmp_path, seed):
-    # exit 6 or a traceback here is a bug to fix in the program, not a case to skip
-    shipped = json.loads(SHIPPED)
-    sites = integer_sites(shipped)
-    fields = [f["label"] for f in shipped["fields"]]
-    curves = [c["label"] for c in shipped["curves"]]
-    primes = [p for p in range(3, 1500) if is_prime(p)]
-    types = ("ordinary", "superspecial", "supersingular", "ssing-non-sspec")
-    path = tmp_path / "mutated.json"
     rng = random.Random(seed)
     for _ in range(30):
         data = json.loads(SHIPPED)
-        *head, last = rng.choice(sites)
-        node = data
-        for key in head:
-            node = node[key]
-        node[last] = rng.choice(MUTATIONS)(node[last])
-        path.write_text(json.dumps(data))
-        p, curve = str(rng.choice(primes)), rng.choice(curves)
-        for argv in (["split", "--field", rng.choice(fields), "--p", p],
-                     ["invariants", "--curve", curve, "--p", p],
-                     ["verify", "--curve", curve, "--p", p],
-                     ["generate", "--curve", curve, "--type", rng.choice(types),
-                      "--bits", str(rng.randint(8, 32))]):
-            start = time.perf_counter()
-            code, out, _ = run(capsys, *argv, "--catalog", str(path), "--json")
-            assert time.perf_counter() - start < COMMAND_SECONDS, (head, last, argv)
-            assert code in (0, 2, 3, 4, 5), (head, last, argv)
-            assert json.loads(out)["command"] == argv[0]
+        site = mutate_integer(rng, data)
+        commands_exit_cleanly(capsys, rng, data, tmp_path / "mutated.json", site)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_removed_catalog_key_exits_cleanly(capsys, tmp_path, seed):
+    # one optional key of one entry removed, alone and with one integer
+    # mutation: a field without its conductor is checked at load by its
+    # polynomials and discriminant alone
+    shipped = json.loads(SHIPPED)
+    sites = [(kind, i, keys) for kind in ("fields", "curves")
+             for i, entry in enumerate(shipped[kind]) for keys in REMOVALS if keys[0] in entry]
+    rng = random.Random(seed)
+    for _ in range(20):
+        kind, i, keys = rng.choice(sites)
+        for mutate in (False, True):
+            data = json.loads(SHIPPED)
+            for key in keys:
+                del data[kind][i][key]
+            note = [kind, i, keys, mutate and mutate_integer(rng, data)]
+            commands_exit_cleanly(capsys, rng, data, tmp_path / "removed.json", note)
+
+
+@pytest.mark.parametrize("i, change, argv, message", [
+    # exit 0 ("even") and, for generate, exit 6: "generated prime 1439 fails
+    # its own target predicate"
+    (0, {"discriminant": 21124},
+     ["split", "--field", "quartic-5-65-845", "--method", "stickelberger", "--p", "3"],
+     "fields[0]: the discriminant of quartic-5-65-845 disagrees with its splitting at p = 3"),
+    (0, {"discriminant": 21124},
+     ["generate", "--curve", "wamelen-c1", "--type", "ssing-non-sspec", "--bits", "10"],
+     "fields[0]: the discriminant of quartic-5-65-845 disagrees with its splitting at p = 3"),
+    # cubics whose fields are not Galois: exit 6, "unequal factor degrees [1, 2]"
+    (1, {"defining_polys": [[1, -6, -1, 1], [1, 0, 1]]},
+     ["verify", "--curve", "weng-g3", "--p", "107"],
+     "fields[1]: the defining polynomials of sextic-5-2 cut out no Galois field at p = 7"),
+    (1, {"defining_polys": [[1, -2, 0, 1], [1, 0, 1]]},
+     ["verify", "--curve", "weng-g3", "--p", "107"],
+     "fields[1]: the defining polynomials of sextic-5-2 cut out no Galois field at p = 3"),
+    # (x + 1)^2 (x^2 - x + 1): exit 6, "generated prime 8647 has no splitting verdict"
+    (2, {"defining_polys": [[1, 1, 0, 1, 1]]},
+     ["generate", "--curve", "cyclo-5", "--type", "ssing-non-sspec", "--bits", "13"],
+     "fields[2]: defining polynomial [1, 1, 0, 1, 1] of cyclotomic-5 is not squarefree"),
+], ids=["d1-split", "d1-generate", "cubic-not-galois", "cubic-reducible", "not-squarefree"])
+def test_field_without_conductor_checked_at_load(capsys, tmp_path, i, change, argv, message):
+    data = json.loads(SHIPPED)
+    field = data["fields"][i]
+    del field["conductor"], field["H_generators"]
+    field.update(change)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    code, doc, _ = run_json(capsys, *argv, "--catalog", str(path))
+    assert code == 3
+    assert doc["error"] == {"type": "CatalogError", "message": message}
 
 
 def write_user_cyclotomic_catalog(tmp_path):

@@ -390,7 +390,7 @@ def irreducible_modulus(p, k):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@example(ReducedCurve(3, [1, 1, 0, 0, 0, 0, 2]))  # k = 4: orbits of size 1, 2 and 4
+@example(ReducedCurve(3, [1, 1, 0, 0, 0, 0, 2]))  # k = 4, even degree
 @example(ReducedCurve(5, [0, 2, 1, 0, 3, 1]))  # k = 4, odd degree
 @example(ReducedCurve(11, WENG))  # k = 3
 @given(small_curves())
@@ -451,7 +451,7 @@ def _first_curve(p, d, lc):
 @pytest.mark.parametrize("p, k", [(3, 3), (3, 6), (5, 5)])
 def test_point_count_where_p_divides_k(p, k):
     # when p | k, F_p has no Frobenius-stable complement in F_{p^k}; the
-    # count runs on the cosets y + F_p, which Frobenius permutes regardless.
+    # count runs over every coset y + F_p, which needs none.
     # Odd and even degree, each with a square and a non-square leading
     # coefficient (2 mod 3 and 5 stays a non-square at odd k, not at k = 6)
     m = irreducible_modulus(p, k)
@@ -572,19 +572,17 @@ def power_sums_from_l(L, k_max):
 
 
 def test_l_polynomial_predicts_unseen_counts():
-    # the construction consumes counts over F_p..F_{p^g} only; the L-polynomial
-    # must still predict the count over F_{p^(g+1)}
-    p = 13
-    c = ReducedCurve(p, WENG)
-    L = l_polynomial(c)
-    q = power_sums_from_l(L, 4)
-    assert point_count(c, 4) == p ** 4 + 1 - q[3]
-    p2 = 3
-    c2 = ReducedCurve(p2, CYCLO5)
-    L2 = l_polynomial(c2)
-    q2 = power_sums_from_l(L2, 4)
-    for k in (3, 4):
-        assert point_count(c2, k) == p2 ** k + 1 - q2[k - 1]
+    # the construction consumes counts over F_p..F_{p^g} at most; the
+    # L-polynomial must still predict the count over every F_{p^k} below, up
+    # to F_{3^9} and F_{5^6}, whose Frobenius orbits have sizes 1, 3, 9 and
+    # 1, 2, 3, 6: a route that shares no code with the count
+    # (cyclo-5 has bad reduction at 5, so weng-g3 stands in there)
+    for f, p, ks in ((WENG, 13, [4]), (WENG, 3, range(1, 10)), (CYCLO5, 3, range(1, 10)),
+                     (WENG, 5, range(1, 7))):
+        c = ReducedCurve(p, f)
+        q = power_sums_from_l(l_polynomial(c), max(ks))
+        for k in ks:
+            assert point_count(c, k) == p**k + 1 - q[k - 1], (f, p, k)
 
 
 # primes p with 2 * 10^4 < p^(g+1) <= 3 * 10^5 for each genus g: beyond
